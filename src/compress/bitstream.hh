@@ -167,9 +167,6 @@ class BitReader
     /** Bytes consumed so far (rounded up to the buffered byte). */
     std::size_t consumedBytes() const { return pos_; }
 
-    /** Bits currently buffered and available to skip(). */
-    unsigned buffered() const { return fill_; }
-
     /**
      * Byte offset of the next unread datum assuming the writer
      * flushed to a byte boundary here. Accounts for bits that were

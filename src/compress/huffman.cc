@@ -169,7 +169,7 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t> &lengths)
                "huffman code exceeds the length limit");
     root_bits_ = std::max(1u, std::min<unsigned>(rootBits, max_len));
     const std::size_t root_size = std::size_t(1) << root_bits_;
-    table_.assign(root_size, {0, 0, 0, 0});
+    table_.assign(root_size, {0, 0, 0});
     if (max_len == 0)
         return;
     has_codes_ = true;
@@ -183,8 +183,8 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t> &lengths)
             continue;
         const std::size_t step = std::size_t(1) << len;
         for (std::size_t idx = codes[s]; idx < root_size; idx += step) {
-            table_[idx].sym0 = static_cast<std::uint16_t>(s);
-            table_[idx].len0 = static_cast<std::uint8_t>(len);
+            table_[idx].sym = static_cast<std::uint16_t>(s);
+            table_[idx].len = static_cast<std::uint8_t>(len);
         }
     }
     // Long codes spill into one subtable per root prefix, sized by
@@ -195,7 +195,7 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t> &lengths)
         if (len <= root_bits_)
             continue;
         const std::uint32_t prefix = codes[s] & (root_size - 1);
-        if (table_[prefix].len0 != subLink) {
+        if (table_[prefix].len != subLink) {
             // Size the subtable on first touch: scan the suffix
             // lengths of every long code with this prefix.
             unsigned sub_bits = 0;
@@ -209,36 +209,19 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t> &lengths)
             XFM_ASSERT(off <= 0xFFFF,
                        "huffman subtables exceed the offset field");
             table_.resize(off + (std::size_t(1) << sub_bits),
-                          {0, 0, 0, 0});
-            table_[prefix].sym0 = static_cast<std::uint16_t>(off);
-            table_[prefix].sym1 = static_cast<std::uint16_t>(sub_bits);
-            table_[prefix].len0 = subLink;
+                          {0, 0, 0});
+            table_[prefix].sym = static_cast<std::uint16_t>(off);
+            table_[prefix].subBits = static_cast<std::uint16_t>(sub_bits);
+            table_[prefix].len = subLink;
         }
-        const std::size_t off = table_[prefix].sym0;
-        const unsigned sub_bits = table_[prefix].sym1;
+        const std::size_t off = table_[prefix].sym;
+        const unsigned sub_bits = table_[prefix].subBits;
         const std::size_t step = std::size_t(1) << (len - root_bits_);
         for (std::size_t idx = codes[s] >> root_bits_;
              idx < (std::size_t(1) << sub_bits); idx += step) {
-            table_[off + idx].sym0 = static_cast<std::uint16_t>(s);
-            table_[off + idx].len0 = static_cast<std::uint8_t>(len);
+            table_[off + idx].sym = static_cast<std::uint16_t>(s);
+            table_[off + idx].len = static_cast<std::uint8_t>(len);
         }
-    }
-    // Pair pass over the root only: pre-pair windows whose
-    // remaining bits fully determine a second symbol. Restricted
-    // to literal pairs (both < 256) so decodePair never swallows
-    // bits past a match/EOB symbol whose extra bits follow in the
-    // stream.
-    for (std::size_t w = 0; w < root_size; ++w) {
-        TableEntry &e = table_[w];
-        if (e.len0 == 0 || e.len0 == subLink || e.sym0 >= 256
-            || e.len0 >= root_bits_)
-            continue;
-        const TableEntry &next = table_[w >> e.len0];
-        if (next.len0 == 0 || next.sym0 >= 256
-            || next.len0 > root_bits_ - e.len0)
-            continue;
-        e.sym1 = next.sym0;
-        e.pairLen = static_cast<std::uint8_t>(e.len0 + next.len0);
     }
 }
 
@@ -319,45 +302,24 @@ const HuffmanDecoder::TableEntry &
 HuffmanDecoder::lookup(BitReader &br) const
 {
     const TableEntry &root = table_[br.peek(root_bits_)];
-    if (root.len0 != subLink)
+    if (root.len != subLink)
         return root;
     // Long code: re-peek wide enough for the subtable suffix. The
-    // entry's len0 holds the FULL code length, so the caller's
+    // entry's len holds the FULL code length, so the caller's
     // skip() consumes root and suffix bits together.
     const std::uint32_t suffix =
-        br.peek(root_bits_ + root.sym1) >> root_bits_;
-    return table_[root.sym0 + suffix];
+        br.peek(root_bits_ + root.subBits) >> root_bits_;
+    return table_[root.sym + suffix];
 }
 
 std::uint32_t
 HuffmanDecoder::decode(BitReader &br) const
 {
     const TableEntry &e = lookup(br);
-    if (e.len0 == 0)
+    if (e.len == 0)
         fatal("huffman decode: invalid code in bitstream");
-    br.skip(e.len0);
-    return e.sym0;
-}
-
-unsigned
-HuffmanDecoder::decodePair(BitReader &br, std::uint32_t &s0,
-                           std::uint32_t &s1) const
-{
-    const TableEntry &e = lookup(br);
-    if (e.len0 == 0)
-        fatal("huffman decode: invalid code in bitstream");
-    // Take the pair only when every one of its bits is real input
-    // (near the end of the stream the peek window is zero-padded,
-    // and the phantom second symbol must not be emitted).
-    if (e.pairLen != 0 && e.pairLen <= br.buffered()) {
-        br.skip(e.pairLen);
-        s0 = e.sym0;
-        s1 = e.sym1;
-        return 2;
-    }
-    br.skip(e.len0);
-    s0 = e.sym0;
-    return 1;
+    br.skip(e.len);
+    return e.sym;
 }
 
 } // namespace compress

@@ -81,33 +81,20 @@ class HuffmanDecoder
     /** Decode one symbol from the reader. */
     std::uint32_t decode(BitReader &br) const;
 
-    /**
-     * Batched decode: consume one or two symbols with a single
-     * table lookup and return how many were produced. Pairs are
-     * pre-computed at table build and only formed from two literal
-     * symbols (< 256) whose combined length fits one root window,
-     * so mixed-alphabet consumers always receive a match/EOB
-     * symbol alone and can branch on it exactly as with decode().
-     * Bit-for-bit identical consumption to two decode() calls.
-     */
-    unsigned decodePair(BitReader &br, std::uint32_t &s0,
-                        std::uint32_t &s1) const;
-
     /** True if at least one symbol has a code. */
     bool hasCodes() const { return has_codes_; }
 
   private:
     /** Root-table budget; codes longer than this use a subtable. */
     static constexpr unsigned rootBits = 11;
-    /** len0 value marking a subtable link (real codes are <= 15). */
+    /** len value marking a subtable link (real codes are <= 15). */
     static constexpr std::uint8_t subLink = 0xFF;
 
     struct TableEntry
     {
-        std::uint16_t sym0;    ///< symbol, or subtable offset
-        std::uint16_t sym1;    ///< pair partner, or subtable bits
-        std::uint8_t len0;     ///< 0 invalid; subLink = subtable
-        std::uint8_t pairLen;  ///< len0 + len1, or 0 when unpaired
+        std::uint16_t sym;      ///< symbol, or subtable offset
+        std::uint16_t subBits;  ///< subtable index width (links only)
+        std::uint8_t len;       ///< 0 invalid; subLink = subtable
     };
 
     /** Resolve one window to its entry (follows subtable links). */

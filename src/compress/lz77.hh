@@ -63,17 +63,13 @@ std::vector<Lz77Token> lz77TokenizeSuffix(ByteSpan input,
 Bytes lz77Reconstruct(const std::vector<Lz77Token> &tokens);
 
 /**
- * Test hooks for the match-extension kernels: the byte-at-a-time
- * reference scan and the SWAR 64-bit-at-a-time scan. Both return
- * the length of the common prefix of a and b up to @p limit and
- * must agree for every input (asserted by test_compress).
+ * Length of the common prefix of @p a and @p b, up to @p limit: the
+ * match-extension kernel, 8 bytes per step on little-endian hosts.
+ * Both pointers must be readable through [0, limit). Exported so
+ * the tests can drive it directly.
  */
-std::uint32_t matchLengthReference(const std::uint8_t *a,
-                                   const std::uint8_t *b,
-                                   std::uint32_t limit);
-std::uint32_t matchLengthFast(const std::uint8_t *a,
-                              const std::uint8_t *b,
-                              std::uint32_t limit);
+std::uint32_t matchLength(const std::uint8_t *a, const std::uint8_t *b,
+                          std::uint32_t limit);
 
 /**
  * Allocation stats of this thread's pooled finder tables:

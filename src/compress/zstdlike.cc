@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "compress/bitstream.hh"
-#include "compress/hotpaths.hh"
 #include "compress/huffman.hh"
 #include "compress/lz77.hh"
 
@@ -247,9 +246,7 @@ ZstdLikeCodec::decompressBody(ByteSpan block, ByteSpan dict,
     const std::uint32_t lit_count = getU32(block, 5);
     const std::uint32_t seq_count = getU32(block, 9);
 
-    // Literals section; pair-table decode drains two symbols per
-    // lookup (bit-identical to the scalar loop, which remains for
-    // the last odd literal and the toggled-off path).
+    // Literals section.
     Bytes literals;
     literals.reserve(lit_count);
     std::size_t pos = 13;
@@ -257,23 +254,9 @@ ZstdLikeCodec::decompressBody(ByteSpan block, ByteSpan dict,
         BitReader br(block.subspan(pos));
         const auto lit_lengths = readCodeLengthsRle(br, 256);
         HuffmanDecoder lit_dec(lit_lengths);
-        const bool batched = hotpaths::batchedHuffman;
-        std::uint32_t i = 0;
-        while (i < lit_count) {
-            if (batched && i + 1 < lit_count) {
-                std::uint32_t s0;
-                std::uint32_t s1;
-                const unsigned n = lit_dec.decodePair(br, s0, s1);
-                literals.push_back(static_cast<std::uint8_t>(s0));
-                if (n == 2)
-                    literals.push_back(static_cast<std::uint8_t>(s1));
-                i += n;
-            } else {
-                literals.push_back(
-                    static_cast<std::uint8_t>(lit_dec.decode(br)));
-                ++i;
-            }
-        }
+        for (std::uint32_t i = 0; i < lit_count; ++i)
+            literals.push_back(
+                static_cast<std::uint8_t>(lit_dec.decode(br)));
         pos += br.alignedByteOffset();
     }
 

@@ -637,91 +637,12 @@ TEST(CodecComparison, RatioHelper)
 } // namespace compress
 } // namespace xfm
 
-#include "compress/incremental.hh"
-
 namespace xfm
 {
 namespace compress
 {
 namespace
 {
-
-TEST(Incremental, ChunkedRoundTrip)
-{
-    const Bytes corpus =
-        generateCorpus(CorpusKind::EnglishText, 12, 64 * 1024);
-    IncrementalCompressor comp;
-    IncrementalDecompressor dec;
-    for (std::size_t off = 0; off < corpus.size(); off += 4096) {
-        const std::size_t len =
-            std::min<std::size_t>(4096, corpus.size() - off);
-        const Bytes seg = comp.addChunk(
-            ByteSpan(corpus.data() + off, len));
-        const Bytes chunk = dec.addSegment(seg);
-        ASSERT_EQ(chunk,
-                  Bytes(corpus.begin() + off,
-                        corpus.begin() + off + len));
-    }
-    EXPECT_EQ(comp.historyBytes(), corpus.size());
-    EXPECT_EQ(dec.historyBytes(), corpus.size());
-}
-
-TEST(Incremental, SharedHistoryBeatsIndependentChunks)
-{
-    // Identical chunks: with shared history every later chunk is a
-    // single long back-reference; independent compression pays the
-    // full cost each time.
-    const Bytes chunk =
-        generateCorpus(CorpusKind::LogLines, 3, 4096);
-    IncrementalCompressor shared;
-    std::size_t shared_bytes = 0;
-    std::size_t independent_bytes = 0;
-    LzFastCodec independent;
-    for (int i = 0; i < 8; ++i) {
-        shared_bytes += shared.addChunk(chunk).size();
-        independent_bytes += independent.compress(chunk).size();
-    }
-    EXPECT_LT(shared_bytes, independent_bytes / 2);
-}
-
-TEST(Incremental, CrossChunkMatchesReachFullHistory)
-{
-    // First chunk unique, second chunk repeats it exactly: the
-    // second segment must be tiny (one giant match).
-    Rng rng(8);
-    Bytes chunk(8192);
-    for (auto &b : chunk)
-        b = static_cast<std::uint8_t>(rng.uniformInt(250));
-    IncrementalCompressor comp;
-    const Bytes first = comp.addChunk(chunk);
-    const Bytes second = comp.addChunk(chunk);
-    EXPECT_LT(second.size(), 64u);
-    EXPECT_GT(first.size(), 1000u);
-
-    IncrementalDecompressor dec;
-    EXPECT_EQ(dec.addSegment(first), chunk);
-    EXPECT_EQ(dec.addSegment(second), chunk);
-}
-
-TEST(Incremental, EmptyChunkAllowed)
-{
-    IncrementalCompressor comp;
-    IncrementalDecompressor dec;
-    const Bytes seg = comp.addChunk({});
-    EXPECT_TRUE(dec.addSegment(seg).empty());
-}
-
-TEST(Incremental, OutOfOrderSegmentFails)
-{
-    const Bytes chunk = generateCorpus(CorpusKind::Json, 5, 4096);
-    IncrementalCompressor comp;
-    comp.addChunk(chunk);                     // establishes history
-    const Bytes second = comp.addChunk(chunk);
-    IncrementalDecompressor dec;
-    // Feeding segment 2 without segment 1's history: distances
-    // reach beyond what the decoder has.
-    EXPECT_THROW(dec.addSegment(second), FatalError);
-}
 
 TEST(Lz77Suffix, PrefixProducesNoTokens)
 {
@@ -818,10 +739,9 @@ INSTANTIATE_TEST_SUITE_P(
 } // namespace xfm
 
 // ------------------------------------------------------------------
-// PR 10 hot-path and preset-dictionary coverage.
+// Match-kernel and preset-dictionary coverage.
 
 #include "compress/dict.hh"
-#include "compress/hotpaths.hh"
 
 namespace xfm
 {
@@ -829,6 +749,18 @@ namespace compress
 {
 namespace
 {
+
+/** Byte-at-a-time prefix scan: the reference the SWAR kernel in
+ *  matchLength() must agree with. */
+std::uint32_t
+referenceMatchLength(const std::uint8_t *a, const std::uint8_t *b,
+                     std::uint32_t limit)
+{
+    std::uint32_t n = 0;
+    while (n < limit && a[n] == b[n])
+        ++n;
+    return n;
+}
 
 /** The SWAR 64-bit match extension must agree with the reference
  *  byte scan at every alignment and boundary. */
@@ -843,9 +775,9 @@ TEST(SwarMatch, BoundaryLengthsAgreeWithReference)
         b[prefix] ^= 0x01;  // first difference exactly at `prefix`
         for (std::uint32_t limit :
              {prefix, prefix + 1, prefix + 9, 160u}) {
-            const auto want = matchLengthReference(
+            const auto want = referenceMatchLength(
                 a.data(), b.data(), std::min<std::uint32_t>(limit, 160));
-            const auto got = matchLengthFast(
+            const auto got = matchLength(
                 a.data(), b.data(), std::min<std::uint32_t>(limit, 160));
             EXPECT_EQ(got, want)
                 << "prefix=" << prefix << " limit=" << limit;
@@ -863,9 +795,9 @@ TEST(SwarMatch, UnalignedPointersAgree)
         for (std::size_t ob = 0; ob < 9; ++ob) {
             const std::uint32_t limit = static_cast<std::uint32_t>(
                 buf.size() - std::max(oa, ob) - 1);
-            EXPECT_EQ(matchLengthFast(buf.data() + oa,
-                                      buf.data() + ob, limit),
-                      matchLengthReference(buf.data() + oa,
+            EXPECT_EQ(matchLength(buf.data() + oa, buf.data() + ob,
+                                  limit),
+                      referenceMatchLength(buf.data() + oa,
                                            buf.data() + ob, limit));
         }
     }
@@ -875,15 +807,15 @@ TEST(SwarMatch, AllEqualHitsLimit)
 {
     const Bytes a(300, 0xEE);
     const Bytes b(300, 0xEE);
-    EXPECT_EQ(matchLengthFast(a.data(), b.data(), 300), 300u);
-    EXPECT_EQ(matchLengthFast(a.data(), b.data(), 0), 0u);
+    EXPECT_EQ(matchLength(a.data(), b.data(), 300), 300u);
+    EXPECT_EQ(matchLength(a.data(), b.data(), 0), 0u);
 }
 
 TEST(SwarMatch, FirstByteDiffers)
 {
     const Bytes a(64, 1);
     const Bytes b(64, 2);
-    EXPECT_EQ(matchLengthFast(a.data(), b.data(), 64), 0u);
+    EXPECT_EQ(matchLength(a.data(), b.data(), 64), 0u);
 }
 
 /** Page-tail reads: the fast scan must not require padding past the
@@ -894,68 +826,9 @@ TEST(SwarMatch, PageTailExactLimit)
     for (std::size_t n : {1u, 5u, 8u, 13u, 64u, 100u}) {
         const Bytes a(n, 0x42);
         const Bytes b(n, 0x42);
-        EXPECT_EQ(matchLengthFast(a.data(), b.data(),
-                                  static_cast<std::uint32_t>(n)),
+        EXPECT_EQ(matchLength(a.data(), b.data(),
+                              static_cast<std::uint32_t>(n)),
                   n);
-    }
-}
-
-/** decodePair() must consume bits exactly like two decode() calls,
- *  on alphabets with and without subtable-deep codes. */
-TEST(Huffman, BatchedPairDecodeMatchesScalar)
-{
-    // Two shapes: a flat-ish literal alphabet (all codes fit the
-    // root) and a skewed one whose rare symbols get >11-bit codes
-    // and exercise the two-level subtables.
-    const std::vector<std::vector<std::uint64_t>> shapes = {
-        [] {
-            std::vector<std::uint64_t> c(300, 1);
-            return c;
-        }(),
-        [] {
-            std::vector<std::uint64_t> c(300, 1);
-            for (std::size_t s = 0; s < 8; ++s)
-                c[s] = 1 << 14;
-            return c;
-        }(),
-    };
-    for (const auto &counts : shapes) {
-        const auto lengths = huffmanCodeLengths(counts);
-        unsigned max_len = 0;
-        for (auto len : lengths)
-            max_len = std::max<unsigned>(max_len, len);
-        HuffmanEncoder enc(lengths);
-        HuffmanDecoder dec(lengths);
-
-        Rng rng(max_len);
-        std::vector<std::uint32_t> symbols(4096);
-        for (auto &s : symbols)
-            s = static_cast<std::uint32_t>(
-                rng.uniformInt(counts.size()));
-        Bytes stream;
-        BitWriter bw(stream);
-        for (const auto s : symbols)
-            enc.encode(bw, s);
-        bw.flush();
-
-        BitReader scalar(stream);
-        BitReader paired(stream);
-        std::vector<std::uint32_t> got_scalar;
-        std::vector<std::uint32_t> got_paired;
-        while (got_scalar.size() < symbols.size())
-            got_scalar.push_back(dec.decode(scalar));
-        while (got_paired.size() < symbols.size()) {
-            std::uint32_t s0 = 0;
-            std::uint32_t s1 = 0;
-            const unsigned n = dec.decodePair(paired, s0, s1);
-            got_paired.push_back(s0);
-            if (n == 2)
-                got_paired.push_back(s1);
-        }
-        // A pair at the final symbol may overshoot by one; trim.
-        got_paired.resize(symbols.size());
-        EXPECT_EQ(got_scalar, symbols);
-        EXPECT_EQ(got_paired, symbols);
     }
 }
 
@@ -987,37 +860,6 @@ TEST(Huffman, SubtableDeepCodesRoundTrip)
     BitReader br(stream);
     for (const auto want : symbols)
         EXPECT_EQ(dec.decode(br), want);
-}
-
-/** The hot-path toggles change speed only: compressed bytes must be
- *  identical with the SWAR matcher and batched Huffman decode
- *  forced off. */
-TEST(Hotpaths, TogglesPreserveCompressedBytes)
-{
-    for (const auto algo :
-         {Algorithm::LzFast, Algorithm::Deflate, Algorithm::ZstdLike}) {
-        const auto codec = makeCompressor(algo);
-        for (const auto kind :
-             {CorpusKind::EnglishText, CorpusKind::Json,
-              CorpusKind::ZeroHeavy}) {
-            const Bytes data = generateCorpus(kind, 11, 16384);
-            Bytes fast_block;
-            Bytes scalar_block;
-            codec->compressInto(data, fast_block);
-            {
-                hotpaths::ScopedToggle no_swar(hotpaths::swarMatch,
-                                               false);
-                hotpaths::ScopedToggle no_pairs(
-                    hotpaths::batchedHuffman, false);
-                codec->compressInto(data, scalar_block);
-                Bytes out;
-                codec->decompressInto(scalar_block, out);
-                EXPECT_EQ(out, data);
-            }
-            EXPECT_EQ(fast_block, scalar_block)
-                << algorithmName(algo) << "/" << corpusName(kind);
-        }
-    }
 }
 
 /** Steady-state tokenisation reuses the pooled finder tables
@@ -1161,6 +1003,80 @@ TEST(Dict, BuildIsDeterministicAndBounded)
     EXPECT_LE(a.size(), 2048u);
     // Whole-chunk sampling: every dictionary byte exists in the page.
     EXPECT_FALSE(a.empty());
+}
+
+} // namespace
+} // namespace compress
+} // namespace xfm
+
+namespace xfm
+{
+namespace compress
+{
+namespace
+{
+
+/** FNV-1a 64 folded over @p data, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, ByteSpan data)
+{
+    for (const auto byte : data) {
+        h ^= byte;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** Compressed bytes are behaviour: each codec's output over the
+ *  six-class page mix, plain and against a preset dictionary, is
+ *  pinned by digest. The digests are those of a byte-at-a-time
+ *  matcher without the 4-byte chain prefilter, so this also proves
+ *  the prefilter exact. Any change to match selection or entropy
+ *  coding shows up here. */
+TEST(CodecGolden, CompressedBytesArePinned)
+{
+    struct Golden
+    {
+        Algorithm algo;
+        std::uint64_t plain;
+        std::uint64_t dict;
+    };
+    const Golden golden[] = {
+        {Algorithm::LzFast, 0xe83a708373ab050cull, 0xe2e3900cf8cdd898ull},
+        {Algorithm::Deflate, 0xff4bdbf5b092a13bull, 0x3d17b619cc2532c0ull},
+        {Algorithm::ZstdLike, 0xd07834f6e4c4e700ull, 0x0add610a1483a626ull},
+    };
+    constexpr std::uint64_t fnvOffset = 14695981039346656037ull;
+    const std::vector<CorpusKind> kinds = {
+        CorpusKind::Json,       CorpusKind::Html,
+        CorpusKind::SourceCode, CorpusKind::LogLines,
+        CorpusKind::KeyValue,   CorpusKind::Dictionary,
+    };
+    for (const auto &g : golden) {
+        const auto codec = makeCompressor(g.algo);
+        std::uint64_t plain = fnvOffset;
+        std::uint64_t dict = fnvOffset;
+        Bytes block;
+        for (const auto kind : kinds) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                const Bytes page = generateCorpus(kind, seed, 4096);
+                codec->compressInto(page, block);
+                plain = fnv1a(plain, block);
+                const Bytes d = buildPresetDictionary(page, 256, 2048);
+                for (std::size_t q = 0; q < 4; ++q) {
+                    codec->compressWithDictInto(
+                        d, ByteSpan{page.data() + q * 1024, 1024},
+                        block);
+                    dict = fnv1a(dict, block);
+                }
+            }
+        }
+        EXPECT_EQ(plain, g.plain)
+            << algorithmName(g.algo) << " plain: 0x" << std::hex
+            << plain;
+        EXPECT_EQ(dict, g.dict)
+            << algorithmName(g.algo) << " dict: 0x" << std::hex << dict;
+    }
 }
 
 } // namespace
