@@ -5,9 +5,11 @@
  *
  * Four phases:
  *   0. codec — per-codec compress/decompress MB/s over the corpus
- *      kinds, one pass per (codec, corpus) cell. Every page must
- *      decompress back to its exact bytes — that round trip IS a
- *      gate — while the MB/s figures are per-host measurements.
+ *      kinds. Each rep of a (codec, corpus) cell is timed on its
+ *      own; MB/s comes from the fastest rep, and the slowest/fastest
+ *      spread is printed next to it. Every page must decompress
+ *      back to its exact bytes — that round trip IS a gate — while
+ *      the MB/s figures are per-host measurements.
  *   1. cpu_pipeline — pure-CPU swap-out/in cycles on an 8-DIMM
  *      XfmBackend over the mixed-corpus page set, swept over
  *      worker counts {1, 2, 8}. Reports pages/sec and checks that
@@ -30,6 +32,7 @@
  *   --out     JSON destination (default BENCH_PERF.json)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -67,15 +70,29 @@ struct CodecResult
 {
     compress::Algorithm algo;
     compress::CorpusKind kind;
-    double compMBps = 0.0;
-    double decMBps = 0.0;
+    double compMBps = 0.0;     ///< fastest rep
+    double decMBps = 0.0;      ///< fastest rep
+    double compSpread = 0.0;   ///< slowest rep time / fastest
+    double decSpread = 0.0;    ///< slowest rep time / fastest
     bool roundTrip = false;  ///< every page decompressed to itself
 };
 
+/** Fastest-rep MB/s of @p rep_s and the slowest/fastest spread. */
+void
+bestOfReps(const std::vector<double> &rep_s, double rep_mb,
+           double &mbps, double &spread)
+{
+    const auto [lo, hi] = std::minmax_element(rep_s.begin(),
+                                              rep_s.end());
+    mbps = *lo > 0.0 ? rep_mb / *lo : 0.0;
+    spread = *lo > 0.0 ? *hi / *lo : 0.0;
+}
+
 /**
  * Phase 0: one (codec, corpus) cell. Compresses and then
- * decompresses the same page set @p reps times; every page must
- * come back byte-exact.
+ * decompresses the same page set @p reps times, timing each rep on
+ * its own so one noisy stretch cannot skew the cell: MB/s comes
+ * from the fastest rep. Every page must come back byte-exact.
  */
 CodecResult
 runCodecCell(compress::Algorithm algo, compress::CorpusKind kind,
@@ -87,26 +104,29 @@ runCodecCell(compress::Algorithm algo, compress::CorpusKind kind,
     for (std::size_t p = 0; p < npages; ++p)
         pages.push_back(compress::generateCorpus(
             kind, p, pageBytes));
-    const double raw_mb = static_cast<double>(npages) * pageBytes
-        * static_cast<double>(reps) / 1e6;
+    const double rep_mb = static_cast<double>(npages) * pageBytes / 1e6;
 
     CodecResult r;
     r.algo = algo;
     r.kind = kind;
     std::vector<Bytes> blocks(npages);
-    auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t rep = 0; rep < reps; ++rep)
+    std::vector<double> comp_s(reps);
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
         for (std::size_t p = 0; p < npages; ++p)
             codec->compressInto(pages[p], blocks[p]);
-    const double comp_s = wallSeconds(t0);
+        comp_s[rep] = wallSeconds(t0);
+    }
     Bytes out;
-    t0 = std::chrono::steady_clock::now();
-    for (std::size_t rep = 0; rep < reps; ++rep)
+    std::vector<double> dec_s(reps);
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
         for (std::size_t p = 0; p < npages; ++p)
             codec->decompressInto(blocks[p], out);
-    const double dec_s = wallSeconds(t0);
-    r.compMBps = comp_s > 0.0 ? raw_mb / comp_s : 0.0;
-    r.decMBps = dec_s > 0.0 ? raw_mb / dec_s : 0.0;
+        dec_s[rep] = wallSeconds(t0);
+    }
+    bestOfReps(comp_s, rep_mb, r.compMBps, r.compSpread);
+    bestOfReps(dec_s, rep_mb, r.decMBps, r.decSpread);
 
     r.roundTrip = true;
     for (std::size_t p = 0; p < npages; ++p) {
@@ -315,7 +335,8 @@ main(int argc, char **argv)
         compress::CorpusKind::ZeroHeavy,
         compress::CorpusKind::RandomBytes,
     };
-    std::printf("phase 0: codec (%zu pages x %zu reps per cell)\n",
+    std::printf("phase 0: codec (%zu pages x %zu reps per cell; "
+                "MB/s of the fastest rep, spread = slowest/fastest)\n",
                 codec_pages, codec_reps);
     std::vector<CodecResult> codecr;
     bool codec_round_trip = true;
@@ -324,11 +345,12 @@ main(int argc, char **argv)
             codecr.push_back(
                 runCodecCell(algo, kind, codec_pages, codec_reps));
             const auto &c = codecr.back();
-            std::printf("  %-8s %-12s comp %7.1f MB/s  "
-                        "dec %7.1f MB/s%s\n",
+            std::printf("  %-8s %-12s comp %7.1f MB/s (spread %.2fx)  "
+                        "dec %7.1f MB/s (spread %.2fx)%s\n",
                         compress::algorithmName(algo).c_str(),
                         compress::corpusName(kind).c_str(),
-                        c.compMBps, c.decMBps,
+                        c.compMBps, c.compSpread, c.decMBps,
+                        c.decSpread,
                         c.roundTrip ? "" : "  ROUND TRIP FAILED");
             codec_round_trip &= c.roundTrip;
         }
@@ -398,10 +420,12 @@ main(int argc, char **argv)
             buf, sizeof buf,
             "    {\"algo\": \"%s\", \"corpus\": \"%s\", "
             "\"compress_mbps\": %.1f, \"decompress_mbps\": %.1f, "
+            "\"compress_spread\": %.3f, \"decompress_spread\": %.3f, "
             "\"round_trip\": %s}%s\n",
             compress::algorithmName(c.algo).c_str(),
             compress::corpusName(c.kind).c_str(), c.compMBps,
-            c.decMBps, c.roundTrip ? "true" : "false",
+            c.decMBps, c.compSpread, c.decSpread,
+            c.roundTrip ? "true" : "false",
             i + 1 < codecr.size() ? "," : "");
         j += buf;
     }

@@ -108,47 +108,29 @@ XfmDevice::submit(const OffloadRequest &req)
     if (!spm_health_.wouldAdmit(now) || !engine_health_.admit(now))
         return invalidOffloadId;
     OffloadRequest r = req;
-    r.id = next_id_++;
-    r.submitTick = curTick();
-    if (queue_.push(r)) {
-        if (tracer_ && r.traceId)
-            trace_ids_[r.id] = r.traceId;
-        return r.id;
-    }
-    --next_id_;
-    ++stats_.queueRejects;
-    engine_health_.cancelProbe(now);  // never reached the engine
-    return invalidOffloadId;
-}
-
-OffloadId
-XfmDevice::ringSubmit(const OffloadRequest &req)
-{
-    XFM_ASSERT(ring_, "ringSubmit on a device without a command ring");
-    XFM_ASSERT(req.size > 0, "offload with zero size");
-    if (!regionRegistered(req.srcAddr, req.size)
-        || (req.kind == OffloadKind::Decompress
-            && !regionRegistered(req.dstAddr, req.rawSize))) {
-        ++stats_.unregisteredRejects;
-        return invalidOffloadId;
-    }
-    const Tick now = curTick();
-    if (!spm_health_.wouldAdmit(now) || !engine_health_.admit(now))
-        return invalidOffloadId;
-    OffloadRequest r = req;
     r.submitTick = now;
-    const CommandTag tag = ring_->sq().push(r, now);
-    if (tag == 0) {
-        // Full-SQ backpressure: every slot is owned by an in-flight
-        // command, so the descriptor cannot even be written.
+    OffloadId id = invalidOffloadId;
+    if (ring_) {
+        // The descriptor lands in a free SQ slot (its generation tag
+        // is the id) and stays invisible until the driver rings the
+        // SQ tail doorbell. A full SQ is backpressure: every slot is
+        // owned by an in-flight command.
+        id = ring_->sq().push(r, now);
+        if (id != invalidOffloadId)
+            ring_->sampleOccupancy();
+    } else {
+        r.id = next_id_;
+        if (queue_.push(r))
+            id = next_id_++;
+    }
+    if (id == invalidOffloadId) {
         ++stats_.queueRejects;
-        engine_health_.cancelProbe(now);
+        engine_health_.cancelProbe(now);  // never reached the engine
         return invalidOffloadId;
     }
-    ring_->sampleOccupancy();
     if (tracer_ && r.traceId)
-        trace_ids_[tag] = r.traceId;
-    return tag;
+        trace_ids_[id] = r.traceId;
+    return id;
 }
 
 std::uint64_t
@@ -175,44 +157,50 @@ XfmDevice::raiseCq()
 }
 
 void
-XfmDevice::deliverDrop(OffloadId id, DropReason reason,
-                       std::uint64_t trace_id)
+XfmDevice::deliver(const CompletionRecord &rec)
 {
     if (ring_) {
-        CompletionRecord rec;
-        rec.tag = id;
-        rec.type = CompletionType::Drop;
-        rec.reason = reason;
-        rec.traceId = trace_id;
         postRecord(rec);
-    } else if (on_drop_) {
-        on_drop_(id, reason);
+        return;
     }
-}
-
-void
-XfmDevice::drainSq()
-{
-    CommandDescriptor d;
-    while (ring_->sq().consume(d)) {
-        if (tracer_ && d.req.traceId) {
-            tracer_->record(d.req.traceId, obs::Stage::SqEnqueue,
-                            d.enqueued, d.doorbelled);
-            tracer_->record(d.req.traceId, obs::Stage::Queue,
-                            d.req.submitTick, curTick());
-        }
-        reads_.push_back({d.req.id, d.req, curTick()});
+    switch (rec.type) {
+      case CompletionType::Complete:
+        if (on_complete_)
+            on_complete_({rec.tag, rec.kind, rec.outputSize, curTick()});
+        break;
+      case CompletionType::Writeback:
+        if (on_writeback_)
+            on_writeback_(rec.tag, curTick());
+        break;
+      case CompletionType::Drop:
+        if (on_drop_)
+            on_drop_(rec.tag, rec.reason);
+        break;
     }
 }
 
 void
 XfmDevice::drainQueue()
 {
-    // Batch every doorbell'd descriptor received during the last
-    // tREFI into the pending-read pool (SPM is reserved later, when
-    // the read actually executes).
-    while (!queue_.empty()) {
-        OffloadRequest req = queue_.pop();
+    // Batch every descriptor made visible during the last tREFI (the
+    // request queue's, or the SQ's doorbell'd ones) into the
+    // pending-read pool (SPM is reserved later, when the read
+    // actually executes).
+    for (;;) {
+        OffloadRequest req;
+        if (ring_) {
+            CommandDescriptor d;
+            if (!ring_->sq().consume(d))
+                break;
+            if (tracer_ && d.req.traceId)
+                tracer_->record(d.req.traceId, obs::Stage::SqEnqueue,
+                                d.enqueued, d.doorbelled);
+            req = std::move(d.req);
+        } else {
+            if (queue_.empty())
+                break;
+            req = queue_.pop();
+        }
         if (tracer_ && req.traceId)
             tracer_->record(req.traceId, obs::Stage::Queue,
                             req.submitTick, curTick());
@@ -231,7 +219,10 @@ XfmDevice::dropExpired(Tick now)
             // The engine never saw the request; an admission probe
             // consumed at submit would otherwise dangle.
             engine_health_.cancelProbe(now);
-            deliverDrop(it->id, DropReason::Deadline, tid);
+            deliver({.tag = it->id,
+                     .type = CompletionType::Drop,
+                     .reason = DropReason::Deadline,
+                     .traceId = tid});
             it = reads_.erase(it);
         } else {
             ++it;
@@ -252,7 +243,10 @@ XfmDevice::runWatchdog(Tick now)
             tracer_->point(tid, obs::Stage::Fallback, now,
                            obs::fallbackWatchdog);
         trace_ids_.erase(id);
-        deliverDrop(id, DropReason::Watchdog, tid);
+        deliver({.tag = id,
+                 .type = CompletionType::Drop,
+                 .reason = DropReason::Watchdog,
+                 .traceId = tid});
     };
 
     // Ring mode: commands whose doorbell was lost (and whose
@@ -295,16 +289,16 @@ XfmDevice::runWatchdog(Tick now)
 void
 XfmDevice::chargeAccess(std::size_t bytes, AccessClass cls)
 {
-    const double io = cfg_.ioPicojoulePerByte
+    const double io = ioPicojoulePerByte
         * static_cast<double>(bytes) / 1000.0;  // pJ -> nJ
     if (cls == AccessClass::Conditional) {
         // The row is open for its refresh already: activation free.
         stats_.accessEnergyNanojoules += io;
-        stats_.energySavedNanojoules += cfg_.rowActivateNanojoule;
+        stats_.energySavedNanojoules += rowActivateNanojoule;
         ++stats_.conditionalAccesses;
     } else {
         stats_.accessEnergyNanojoules +=
-            io + cfg_.rowActivateNanojoule;
+            io + rowActivateNanojoule;
         ++stats_.randomAccesses;
     }
 }
@@ -375,7 +369,10 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
         eventq().scheduleIn(transfer, [this, id, tid] {
             if (!stalled_.erase(id))
                 return;  // aborted before the timeout was noticed
-            deliverDrop(id, DropReason::EngineStall, tid);
+            deliver({.tag = id,
+                     .type = CompletionType::Drop,
+                     .reason = DropReason::EngineStall,
+                     .traceId = tid});
         });
         return true;
     }
@@ -406,17 +403,11 @@ XfmDevice::executeRead(const ReadOp &op, AccessClass cls)
         Bytes out = job.take();
         const auto out_size = static_cast<std::uint32_t>(out.size());
         spm_.complete(id, std::move(out), curTick());
-        if (ring_) {
-            CompletionRecord rec;
-            rec.tag = id;
-            rec.kind = kind;
-            rec.type = CompletionType::Complete;
-            rec.outputSize = out_size;
-            rec.traceId = traceIdOf(id);
-            postRecord(rec);
-        } else if (on_complete_) {
-            on_complete_({id, kind, out_size, curTick()});
-        }
+        deliver({.tag = id,
+                 .kind = kind,
+                 .type = CompletionType::Complete,
+                 .outputSize = out_size,
+                 .traceId = traceIdOf(id)});
     });
     return true;
 }
@@ -462,20 +453,11 @@ XfmDevice::executeWriteback(SpmEntry entry, AccessClass cls)
         stats_.eccParityBytesWritten += parity.size();
     }
 
-    if (ring_) {
-        eventq().scheduleIn(transfer, [this, id = entry.id, tid] {
-            CompletionRecord rec;
-            rec.tag = id;
-            rec.type = CompletionType::Writeback;
-            rec.traceId = tid;
-            postRecord(rec);
-        });
-    } else if (on_writeback_) {
-        eventq().scheduleIn(transfer,
-                            [this, id = entry.id] {
-            on_writeback_(id, curTick());
-        });
-    }
+    eventq().scheduleIn(transfer, [this, id = entry.id, tid] {
+        deliver({.tag = id,
+                 .type = CompletionType::Writeback,
+                 .traceId = tid});
+    });
 }
 
 void
@@ -493,59 +475,37 @@ void
 XfmDevice::abort(OffloadId id)
 {
     trace_ids_.erase(id);
-    if (ring_) {
-        if (!ring_->sq().validTag(id))
-            return;  // already retired (or never issued)
-        if (ring_->sq().cancel(id)) {
-            // Unconsumed descriptor: the engine never saw it.
-            engine_health_.cancelProbe(curTick());
-            return;
-        }
-        // Consumed: walk the in-flight states, then retire the slot
-        // so any completion record already posted for this command
-        // reads as stale at reap time.
-        if (stalled_.erase(id)) {
-            ring_->sq().retire(id);
-            return;
-        }
-        for (auto it = reads_.begin(); it != reads_.end(); ++it) {
-            if (it->id == id) {
-                reads_.erase(it);
-                engine_health_.cancelProbe(curTick());
-                ring_->sq().retire(id);
-                return;
-            }
-        }
-        if (spm_.contains(id)) {
-            const bool pend = spm_.entry(id).tag == SpmTag::Pending;
-            spm_.release(id);
-            if (pend)
-                aborted_.insert(id);
-        }
-        ring_->sq().retire(id);
-        return;
-    }
-    if (stalled_.erase(id))
-        return;  // stall already released SPM; drop will not fire
-    if (queue_.removeById(id)) {
-        // Still a queued descriptor: no SPM held, and the engine
-        // never saw it — return any admission probe slot.
+    if (ring_ && !ring_->sq().validTag(id))
+        return;  // already retired (or never issued)
+    // Not yet consumed (staged or doorbell'd in the SQ, or still in
+    // the request queue): no SPM held, and the engine never saw it —
+    // return any admission probe slot. Cancelling retires the slot.
+    if (ring_ ? ring_->sq().cancel(id) : queue_.removeById(id)) {
         engine_health_.cancelProbe(curTick());
         return;
     }
-    for (auto it = reads_.begin(); it != reads_.end(); ++it) {
-        if (it->id == id) {
-            reads_.erase(it);  // not yet executed: no SPM held
-            engine_health_.cancelProbe(curTick());
-            return;
-        }
+    const auto is_id = [id](const ReadOp &op) { return op.id == id; };
+    if (stalled_.erase(id)) {
+        // The stall already released the SPM; its drop will not fire.
+    } else if (auto read = std::find_if(reads_.begin(), reads_.end(),
+                                        is_id);
+               read != reads_.end()) {
+        reads_.erase(read);  // not yet executed: no SPM held
+        engine_health_.cancelProbe(curTick());
+    } else if (!ring_ || spm_.contains(id)) {
+        // Engine running (Pending) or finished (Completed): drop the
+        // SPM entry; a still-running engine event checks aborted_
+        // and skips. (Only a ring command whose final record awaits
+        // reaping holds none; the legacy lookup asserts the id.)
+        const bool pending = spm_.entry(id).tag == SpmTag::Pending;
+        spm_.release(id);
+        if (pending)
+            aborted_.insert(id);
     }
-    // Engine running (Pending) or finished (Completed): drop the SPM
-    // entry; a still-running engine event checks aborted_ and skips.
-    const bool pending = spm_.entry(id).tag == SpmTag::Pending;
-    spm_.release(id);
-    if (pending)
-        aborted_.insert(id);
+    // Retire the slot so any completion record already posted for
+    // this command reads as stale at reap time.
+    if (ring_)
+        ring_->sq().retire(id);
 }
 
 void
@@ -619,15 +579,12 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
     window_access_index_ = 0;
     bank_.beginRefresh(window.firstRow, window.rowCount);
 
-    if (ring_) {
-        // The window boundary closes the previous tREFI batch: flush
-        // any completion records the coalescing threshold left
-        // unreaped, then pull newly doorbell'd descriptors.
+    // The window boundary closes the previous tREFI batch: flush any
+    // completion records the coalescing threshold left unreaped, then
+    // pull the newly visible descriptors.
+    if (ring_)
         raiseCq();
-        drainSq();
-    } else {
-        drainQueue();
-    }
+    drainQueue();
     dropExpired(window.start);
     runWatchdog(window.start);
 
@@ -653,7 +610,7 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
     // unused this window becomes one extra random access slot.
     std::uint32_t trr_bonus = 0;
     for (std::uint32_t k = 0; k < cfg_.trrRandomSlots; ++k)
-        if (rng_.chance(cfg_.trrUnusedProbability))
+        if (rng_.chance(trrUnusedProbability))
             ++trr_bonus;
     slots += trr_bonus;
     random_budget += trr_bonus;

@@ -43,6 +43,13 @@ namespace xfm
 namespace nma
 {
 
+/** Probability a TRR cycle is unused in a given window. */
+constexpr double trrUnusedProbability = 0.95;
+/** Energy model: row activation saved by conditional accesses. */
+constexpr double rowActivateNanojoule = 7.5;
+/** On-DIMM IO energy per byte moved (25 Gb/s links, Sec. 4.1). */
+constexpr double ioPicojoulePerByte = 9.5;
+
 /** Static configuration of one XFM DIMM device. */
 struct XfmDeviceConfig
 {
@@ -65,8 +72,6 @@ struct XfmDeviceConfig
      * [TRRespass], so XFM can opportunistically reuse the slack.
      */
     std::uint32_t trrRandomSlots = 0;
-    /** Probability a TRR cycle is unused in a given window. */
-    double trrUnusedProbability = 0.95;
     /** RNG seed for the TRR-availability draw. */
     std::uint64_t seed = 1;
 
@@ -80,11 +85,6 @@ struct XfmDeviceConfig
      * CPU reads of NMA-written data still verify.
      */
     std::uint64_t eccParityBase = 0;
-
-    /** Energy model: row activation saved by conditional accesses. */
-    double rowActivateNanojoule = 7.5;
-    /** On-DIMM IO energy per byte moved (25 Gb/s links, Sec. 4.1). */
-    double ioPicojoulePerByte = 9.5;
 
     /**
      * Watchdog deadline, in refresh windows (tREFI intervals): an
@@ -177,23 +177,16 @@ class XfmDevice : public SimObject
               dram::PhysMem &mem, dram::RefreshController &refresh);
 
     /**
-     * Submit an offload descriptor (driver path).
+     * Submit an offload descriptor (driver path). In ring mode the
+     * descriptor is written into a free SQ slot and is not
+     * device-visible until the driver rings the SQ tail doorbell;
+     * the id is then the command's generation tag.
      *
-     * @return assigned id, or invalidOffloadId when both the SPM and
-     *         the request queue are exhausted (CPU fallback).
+     * @return assigned id, or invalidOffloadId when the address is
+     *         unregistered, a device breaker is open, or the request
+     *         queue / SQ is full (CPU fallback).
      */
     OffloadId submit(const OffloadRequest &req);
-
-    /**
-     * Ring-mode submit: write a descriptor into a free SQ slot
-     * (same admission checks as submit(); the descriptor is not
-     * device-visible until the driver rings the SQ tail doorbell).
-     *
-     * @return the command's generation tag (the ring-mode
-     *         OffloadId), or invalidOffloadId on rejection or
-     *         full-SQ backpressure.
-     */
-    OffloadId ringSubmit(const OffloadRequest &req);
 
     /** True when cfg.sqDepth >= 2 selected the async command ring. */
     bool ringMode() const { return ring_ != nullptr; }
@@ -344,18 +337,17 @@ class XfmDevice : public SimObject
     };
 
     void onWindow(const dram::RefreshWindow &window);
+    /** Pull every visible descriptor (request queue, or the SQ's
+     *  doorbell-covered ones) into the pending-read pool. */
     void drainQueue();
-    /** Ring mode: pull every doorbell-covered descriptor from the
-     *  SQ into the pending-read pool. */
-    void drainSq();
     /** Ring mode: post a completion record, raising the CQ-ready
      *  interrupt once cfg.cqCoalesce records are pending. */
     void postRecord(CompletionRecord rec);
     /** Ring mode: fire the CQ-ready callback if records pend. */
     void raiseCq();
-    /** Route a drop to the CQ (ring) or drop callback (legacy). */
-    void deliverDrop(OffloadId id, DropReason reason,
-                     std::uint64_t trace_id);
+    /** Post @p rec to the CQ (ring mode) or invoke the matching
+     *  complete/write-back/drop callback (legacy mode). */
+    void deliver(const CompletionRecord &rec);
     /** traceId recorded for @p id, or 0 (tracing off / untraced). */
     std::uint64_t traceIdOf(OffloadId id) const;
     void dropExpired(Tick now);

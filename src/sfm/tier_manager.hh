@@ -25,10 +25,10 @@
  * batch backs off multiplicatively, when they run cold it probes
  * additively.
  *
- * Determinism contract (same as DESIGN.md §13): the manager lives on
- * the global event domain, every transition commits in event order,
- * and a disabled TierManager is simply never constructed — `tiering
- * = off` runs are byte-identical to pre-tiering builds.
+ * Determinism contract (same as DESIGN.md §13): every transition
+ * commits in the single event queue's order, and a disabled
+ * TierManager is simply never constructed — `tiering = off` runs are
+ * byte-identical to pre-tiering builds.
  */
 
 #ifndef XFM_SFM_TIER_MANAGER_HH

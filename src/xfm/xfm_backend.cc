@@ -337,6 +337,103 @@ XfmBackend::traceFailed(std::uint64_t trace_id)
 }
 
 void
+XfmBackend::traceFallback(std::uint64_t trace_id, std::uint64_t why)
+{
+    if (tracer_ && trace_id)
+        tracer_->point(trace_id, obs::Stage::Fallback, curTick(), why);
+}
+
+void
+XfmBackend::failSwap(VirtPage page, sfm::RejectReason why,
+                     std::uint64_t trace_id, bool used_cpu,
+                     const SwapCallback &done)
+{
+    if (why == sfm::RejectReason::SfmFull) {
+        ++stats_.rejectedSwapOuts;
+        ++xfm_stats_.fallbackAlloc;
+        traceFallback(trace_id, obs::fallbackAlloc);
+    }
+    traceFailed(trace_id);
+    SwapOutcome o;
+    o.page = page;
+    o.usedCpu = used_cpu;
+    o.success = false;
+    o.rejected = why;
+    o.completed = curTick();
+    if (done)
+        done(o);
+}
+
+bool
+XfmBackend::cpuCompressShard(std::size_t d, VirtPage page,
+                             const Bytes *dict, Bytes &block)
+{
+    dimms_[d].mem->read(shardFrameAddr(page), cfg_.shardBytes(),
+                        shard_scratch_[d]);
+    if (dict)
+        return compress::encodeShardRef(*codec_, *dict,
+                                        shard_scratch_[d], block);
+    codec_->compressInto(shard_scratch_[d], block);
+    return false;
+}
+
+void
+XfmBackend::cpuDecompressShard(std::size_t d, VirtPage page,
+                               std::uint64_t offset,
+                               std::uint32_t csize, const Bytes *dict)
+{
+    dimms_[d].mem->read(slotAddr(offset), csize, block_scratch_[d]);
+    if (dict)
+        compress::decodeShard(*codec_, block_scratch_[d], *dict,
+                              shard_scratch_[d]);
+    else
+        compress::decodeShard(*codec_, block_scratch_[d],
+                              shard_scratch_[d]);
+    XFM_ASSERT(shard_scratch_[d].size() == cfg_.shardBytes(),
+               "shard decompressed to wrong size");
+    dimms_[d].mem->write(shardFrameAddr(page), shard_scratch_[d]);
+}
+
+void
+XfmBackend::chargeCpuShard(VirtPage page, bool compress_op,
+                           std::uint32_t csize, std::uint64_t trace_id)
+{
+    Tick latency;
+    chargeCpu(cfg_.shardBytes(), compress_op, latency);
+    if (host_ctrl_) {
+        // Compression reads the raw shard and writes its block;
+        // decompression the reverse.
+        const auto raw = static_cast<std::uint32_t>(cfg_.shardBytes());
+        host_ctrl_->submit({page * pageBytes, compress_op ? raw : csize,
+                            false, nullptr});
+        host_ctrl_->submit({page * pageBytes, compress_op ? csize : raw,
+                            true, nullptr});
+    }
+    if (tracer_ && trace_id)
+        tracer_->record(trace_id, obs::Stage::CpuCompute, curTick(),
+                        curTick() + latency);
+}
+
+void
+XfmBackend::completeCpuSwap(SwapOutcome outcome, SwapCallback done,
+                            std::uint64_t trace_id, Tick latency)
+{
+    if (tracer_ && trace_id)
+        tracer_->record(trace_id, obs::Stage::CpuCompute, curTick(),
+                        curTick() + latency);
+    eventq().scheduleIn(latency,
+                        [outcome, done = std::move(done), trace_id,
+                         this]() mutable {
+        outcome.completed = curTick();
+        if (tracer_ && trace_id)
+            tracer_->point(trace_id, obs::Stage::Complete, curTick(),
+                           obs::outcomeCpu);
+        if (done)
+            done(outcome);
+    });
+}
+
+void
 XfmBackend::cpuSwapOut(VirtPage page, SwapCallback done,
                        std::uint64_t trace_id)
 {
@@ -350,14 +447,8 @@ XfmBackend::cpuSwapOut(VirtPage page, SwapCallback done,
         compress::packDict(*codec_, *dict, packed_dict);
     std::vector<std::uint8_t> dict_used(cfg_.numDimms, 0);
     pool_.parallelFor(cfg_.numDimms, [&](std::size_t d) {
-        dimms_[d].mem->read(shardFrameAddr(page), cfg_.shardBytes(),
-                            shard_scratch_[d]);
-        if (dict)
-            dict_used[d] = compress::encodeShardRef(
-                *codec_, *dict, shard_scratch_[d],
-                block_scratch_[d]);
-        else
-            codec_->compressInto(shard_scratch_[d], block_scratch_[d]);
+        dict_used[d] =
+            cpuCompressShard(d, page, dict.get(), block_scratch_[d]);
     });
     // Every shard fell back to a plain block: the dictionary would
     // be dead weight, so the page stores none.
@@ -378,25 +469,15 @@ XfmBackend::cpuSwapOut(VirtPage page, SwapCallback done,
         compact();
         offset = alloc_.allocate(max_size);
     }
+    if (offset == SameOffsetAllocator::invalidOffset) {
+        failSwap(page, sfm::RejectReason::SfmFull, trace_id, true, done);
+        return;
+    }
 
     SwapOutcome outcome;
     outcome.page = page;
     outcome.usedCpu = true;
-    if (offset == SameOffsetAllocator::invalidOffset) {
-        ++stats_.rejectedSwapOuts;
-        ++xfm_stats_.fallbackAlloc;
-        if (tracer_ && trace_id)
-            tracer_->point(trace_id, obs::Stage::Fallback, curTick(),
-                           obs::fallbackAlloc);
-        traceFailed(trace_id);
-        outcome.success = false;
-        outcome.rejected = sfm::RejectReason::SfmFull;
-        outcome.completed = curTick();
-        if (done)
-            done(outcome);
-        return;
-    }
-
+    outcome.success = true;
     PageEntry entry;
     entry.offset = offset;
     for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
@@ -428,21 +509,7 @@ XfmBackend::cpuSwapOut(VirtPage page, SwapCallback done,
     // The host's page read stalls on refresh/RFM locks on its way
     // to the frame (0 while refresh realism is disarmed).
     latency += cpuRefreshStall(shardFrameAddr(page));
-    outcome.success = true;
-    if (tracer_ && trace_id)
-        tracer_->record(trace_id, obs::Stage::CpuCompute, curTick(),
-                        curTick() + latency);
-    // CPU-fallback completions touch whole-page state spanning every
-    // DIMM, so they stay on the global event domain (shard 0).
-    eventq().scheduleIn(latency,
-                        [outcome, done, trace_id, this]() mutable {
-        outcome.completed = curTick();
-        if (tracer_ && trace_id)
-            tracer_->point(trace_id, obs::Stage::Complete, curTick(),
-                           obs::outcomeCpu);
-        if (done)
-            done(outcome);
-    });
+    completeCpuSwap(outcome, std::move(done), trace_id, latency);
 }
 
 void
@@ -460,25 +527,15 @@ XfmBackend::cpuSwapIn(VirtPage page, SwapCallback done,
     // The specialised CPU_Fallback decompression handles both
     // decompression and gathering without extra copies (Fig. 9b):
     // each shard decompresses straight into its DIMM-local frame.
-    // Decompressions fan out over the pool; the frame writes commit
-    // serially in index order below.
+    // The shards fan out over the pool; each index touches only its
+    // own DIMM's memory and scratch slot.
     const auto dict = loadPageDict(entry);
     pool_.parallelFor(cfg_.numDimms, [&](std::size_t d) {
-        dimms_[d].mem->read(slotAddr(entry.offset),
-                            entry.shardSizes[d], block_scratch_[d]);
-        if (dict)
-            compress::decodeShard(*codec_, block_scratch_[d], *dict,
-                                  shard_scratch_[d]);
-        else
-            compress::decodeShard(*codec_, block_scratch_[d],
-                                  shard_scratch_[d]);
+        cpuDecompressShard(d, page, entry.offset, entry.shardSizes[d],
+                           dict.get());
     });
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        XFM_ASSERT(shard_scratch_[d].size() == cfg_.shardBytes(),
-                   "shard decompressed to wrong size");
-        dimms_[d].mem->write(shardFrameAddr(page), shard_scratch_[d]);
+    for (std::size_t d = 0; d < cfg_.numDimms; ++d)
         outcome.compressedSize += entry.shardSizes[d];
-    }
     outcome.compressedSize += entry.dictStored;
     alloc_.release(entry.offset);
     entries_.erase(it);
@@ -498,23 +555,120 @@ XfmBackend::cpuSwapIn(VirtPage page, SwapCallback done,
     // The demand fault's compressed-slot read stalls on refresh/RFM
     // locks (0 while refresh realism is disarmed).
     latency += cpuRefreshStall(slotAddr(entry.offset));
-    if (tracer_ && trace_id)
-        tracer_->record(trace_id, obs::Stage::CpuCompute, curTick(),
-                        curTick() + latency);
-    // CPU-fallback completions touch whole-page state spanning every
-    // DIMM, so they stay on the global event domain (shard 0).
-    eventq().scheduleIn(latency,
-                        [outcome, done, trace_id, this]() mutable {
-        outcome.completed = curTick();
-        if (tracer_ && trace_id)
-            tracer_->point(trace_id, obs::Stage::Complete, curTick(),
-                           obs::outcomeCpu);
-        if (done)
-            done(outcome);
-    });
+    completeCpuSwap(outcome, std::move(done), trace_id, latency);
 }
 
 // ------------------------------------------------------------- offloads
+
+std::shared_ptr<XfmBackend::PendingOp>
+XfmBackend::routeShards(VirtPage page, bool is_compress,
+                        std::uint64_t trace_id,
+                        const std::vector<std::uint32_t> &need)
+{
+    // Channel-shard breakers: a Failed channel is routed around by
+    // handling its shard on the CPU while the healthy channels stay
+    // offloaded. If every channel is open, the whole page goes to
+    // the CPU path. The routing decision uses wouldAdmit() — no
+    // half-open probe slot is consumed until the shard is actually
+    // submitted, so capacity fallbacks cannot churn a probation
+    // round.
+    std::vector<std::uint8_t> use_cpu;
+    std::size_t cpu_shards = 0;
+    if (cfg_.health.enabled) {
+        use_cpu.assign(cfg_.numDimms, 0);
+        for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
+            if (!channel_health_[d].wouldAdmit(curTick())) {
+                use_cpu[d] = 1;
+                ++cpu_shards;
+            }
+        }
+        if (cpu_shards == cfg_.numDimms) {
+            ++xfm_stats_.breakerFallbacks;
+            traceFallback(trace_id, obs::fallbackBreaker);
+            return nullptr;
+        }
+    }
+
+    // Lazy capacity check on every offloading DIMM before submitting
+    // anywhere, so a partial submit (and abort storm) stays rare.
+    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
+        if ((use_cpu.empty() || !use_cpu[d])
+            && (!dimms_[d].driver->ringHasSlot()
+                || !dimms_[d].driver->canAccept(need[d]))) {
+            ++xfm_stats_.fallbackCapacity;
+            traceFallback(trace_id, obs::fallbackCapacity);
+            return nullptr;
+        }
+    }
+
+    auto op = std::make_shared<PendingOp>();
+    op->page = page;
+    op->isCompress = is_compress;
+    op->ids.assign(cfg_.numDimms, nma::invalidOffloadId);
+    op->cpuShard = use_cpu;
+    op->shardDone = std::move(use_cpu);
+    op->completions = cpu_shards;  // CPU shards are done up front
+    op->traceId = trace_id;
+    op->traceStart = curTick();
+    return op;
+}
+
+template <typename CpuShard, typename Submit>
+bool
+XfmBackend::submitShards(const std::shared_ptr<PendingOp> &op,
+                         CpuShard &&cpu_shard, Submit &&submit)
+{
+    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
+        if (!op->cpuShard.empty() && op->cpuShard[d]) {
+            cpu_shard(d);
+            continue;
+        }
+        // Consume the channel's admission (a probe slot while in
+        // probation) only now that the shard truly goes to hardware.
+        // A refusal here rolls back like a failed submit.
+        const bool admitted = channel_health_[d].admit(curTick());
+        const nma::OffloadId id =
+            admitted ? submit(d) : nma::invalidOffloadId;
+        if (admitted) {
+            op->retries += dimms_[d].driver->lastSubmitRetries();
+            xfm_stats_.offloadRetries +=
+                dimms_[d].driver->lastSubmitRetries();
+        }
+        if (id == nma::invalidOffloadId) {
+            // Roll back what was already submitted; no channel saw
+            // its shard through, so admitted probes are returned.
+            abandonRoutes(*op);
+            if (admitted)
+                channel_health_[d].cancelProbe(curTick());
+            ++xfm_stats_.fallbackCapacity;
+            traceFallback(op->traceId, obs::fallbackCapacity);
+            return false;
+        }
+        if (tracer_ && op->traceId)
+            tracer_->point(op->traceId, obs::Stage::Submit, curTick(),
+                           d);
+        op->ids[d] = id;
+        routes_[d].emplace(id, op);
+    }
+    busy_.emplace(op->page, op);
+    return true;
+}
+
+void
+XfmBackend::abandonRoutes(const PendingOp &op)
+{
+    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
+        auto rit = routes_[d].find(op.ids[d]);
+        if (rit == routes_[d].end())
+            continue;
+        routes_[d].erase(rit);
+        dimms_[d].driver->abort(op.ids[d]);
+        // Aborted shards report no outcome: return any half-open
+        // probe slot they were admitted under, so a faulting channel
+        // alone carries the blame.
+        channel_health_[d].cancelProbe(curTick());
+    }
+}
 
 void
 XfmBackend::swapOut(VirtPage page, SwapCallback done)
@@ -531,165 +685,53 @@ XfmBackend::swapOut(VirtPage page, bool allow_offload,
         fatal("swapOut: page ", page, " already in far memory");
     const std::uint64_t tid = tracer_ ? tracer_->begin() : 0;
     if (busy_.count(page)) {
-        traceFailed(tid);
-        SwapOutcome o;
-        o.page = page;
-        o.success = false;
-        o.rejected = sfm::RejectReason::Busy;
-        o.completed = curTick();
-        if (done)
-            done(o);
+        failSwap(page, sfm::RejectReason::Busy, tid, false, done);
         return;
     }
 
     // The service layer degrades over-quota tenants to the CPU path
     // without touching the NMA's queues.
-    if (!allow_offload) {
+    const auto op = allow_offload
+        ? routeShards(page, true, tid,
+                      std::vector<std::uint32_t>(
+                          cfg_.numDimms,
+                          nma::CompressionEngine::worstCaseCompressedSize(
+                              static_cast<std::uint32_t>(
+                                  cfg_.shardBytes()))))
+        : nullptr;
+    if (!op) {
         cpuSwapOut(page, std::move(done), tid);
         return;
     }
-
-    // Channel-shard breakers: a Failed channel is routed around by
-    // compressing its shard on the CPU while the healthy channels
-    // stay offloaded. If every channel is open, the whole page goes
-    // to the CPU path.
-    // The routing decision uses wouldAdmit() — no half-open probe
-    // slot is consumed until the shard is actually submitted below,
-    // so capacity fallbacks cannot churn a probation round.
-    std::vector<std::uint8_t> use_cpu;
-    std::size_t cpu_shards = 0;
-    if (cfg_.health.enabled) {
-        use_cpu.assign(cfg_.numDimms, 0);
-        for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-            if (!channel_health_[d].wouldAdmit(curTick())) {
-                use_cpu[d] = 1;
-                ++cpu_shards;
-            }
-        }
-        if (cpu_shards == cfg_.numDimms) {
-            ++xfm_stats_.breakerFallbacks;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackBreaker);
-            cpuSwapOut(page, std::move(done), tid);
-            return;
-        }
-    }
-    const auto shard_on_cpu = [&use_cpu](std::size_t d) {
-        return !use_cpu.empty() && use_cpu[d];
-    };
-
-    // Lazy capacity check on every offloading DIMM before submitting
-    // anywhere, so a partial submit (and abort storm) stays rare.
-    const auto worst = nma::CompressionEngine::worstCaseCompressedSize(
-        static_cast<std::uint32_t>(cfg_.shardBytes()));
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        if (!shard_on_cpu(d)
-            && (!dimms_[d].driver->ringHasSlot()
-                || !dimms_[d].driver->canAccept(worst))) {
-            ++xfm_stats_.fallbackCapacity;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackCapacity);
-            cpuSwapOut(page, std::move(done), tid);
-            return;
-        }
-    }
-
-    auto op = std::make_shared<PendingOp>();
-    op->page = page;
-    op->isCompress = true;
-    op->ids.resize(cfg_.numDimms, nma::invalidOffloadId);
-    op->sizes.resize(cfg_.numDimms, 0);
-    op->cpuShard = use_cpu;
-    op->shardDone = use_cpu;
-    op->completions = cpu_shards;  // CPU shards are done up front
     op->done = std::move(done);
-    op->traceId = tid;
-    op->traceStart = curTick();
+    op->sizes.assign(cfg_.numDimms, 0);
+    op->cpuBlocks.resize(cfg_.numDimms);
     op->dict = pageDict(page);
     if (op->dict)
         compress::packDict(*codec_, *op->dict, op->packedDict);
-    if (cpu_shards)
-        op->cpuBlocks.resize(cfg_.numDimms);
 
     const Tick deadline =
         curTick() + cfg_.dimmMem.rank.device.retention;
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        if (shard_on_cpu(d)) {
-            // Per-shard CPU fallback: compress this channel's shard
-            // now; the block lands in the slot once its size is
-            // known (all completions in).
-            dimms_[d].mem->read(shardFrameAddr(page),
-                                cfg_.shardBytes(), shard_scratch_[d]);
-            if (op->dict)
-                compress::encodeShardRef(*codec_, *op->dict,
-                                         shard_scratch_[d],
-                                         op->cpuBlocks[d]);
-            else
-                codec_->compressInto(shard_scratch_[d],
-                                     op->cpuBlocks[d]);
-            op->sizes[d] = static_cast<std::uint32_t>(
-                op->cpuBlocks[d].size());
-            ++xfm_stats_.shardCpuFallbacks;
-            Tick latency;
-            chargeCpu(cfg_.shardBytes(), true, latency);
-            if (host_ctrl_) {
-                host_ctrl_->submit(
-                    {page * pageBytes,
-                     static_cast<std::uint32_t>(cfg_.shardBytes()),
-                     false, nullptr});
-                host_ctrl_->submit({page * pageBytes, op->sizes[d],
-                                    true, nullptr});
-            }
-            if (tracer_ && tid)
-                tracer_->record(tid, obs::Stage::CpuCompute,
-                                curTick(), curTick() + latency);
-            continue;
-        }
-        // Consume the channel's admission (a probe slot while in
-        // probation) only now that the shard truly goes to hardware.
-        // A same-tick race with another operation's probes can still
-        // refuse here; roll back like a failed submit.
-        const bool admitted = channel_health_[d].admit(curTick());
-        const nma::OffloadId id = !admitted
-            ? nma::invalidOffloadId
-            : dimms_[d].driver->xfmCompress(
-                  shardFrameAddr(page),
-                  static_cast<std::uint32_t>(cfg_.shardBytes()),
-                  deadline, partition_, tid, op->dict);
-        if (admitted) {
-            op->retries += dimms_[d].driver->lastSubmitRetries();
-            xfm_stats_.offloadRetries +=
-                dimms_[d].driver->lastSubmitRetries();
-        }
-        if (id == nma::invalidOffloadId) {
-            // Roll back what was already submitted; no channel saw
-            // its shard through, so admitted probes are returned.
-            for (std::size_t k = 0; k < d; ++k) {
-                if (op->ids[k] == nma::invalidOffloadId)
-                    continue;
-                routes_[k].erase(op->ids[k]);
-                dimms_[k].driver->abort(op->ids[k]);
-            }
-            for (std::size_t k = 0; k <= d; ++k)
-                if (!shard_on_cpu(k) && (k < d || admitted))
-                    channel_health_[k].cancelProbe(curTick());
-            ++xfm_stats_.fallbackCapacity;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackCapacity);
-            cpuSwapOut(page,
-                       carryRetries(op->retries, std::move(op->done)),
-                       tid);
-            return;
-        }
-        if (tracer_ && tid)
-            tracer_->point(tid, obs::Stage::Submit, curTick(), d);
-        op->ids[d] = id;
-        routes_[d].emplace(id, op);
-    }
-    busy_.emplace(page, op);
+    const bool offloaded = submitShards(
+        op,
+        [&](std::size_t d) {
+        // Per-shard CPU fallback: compress this channel's shard
+        // now; the block lands in the slot once its size is known
+        // (all completions in).
+        cpuCompressShard(d, page, op->dict.get(), op->cpuBlocks[d]);
+        op->sizes[d] = static_cast<std::uint32_t>(op->cpuBlocks[d].size());
+        ++xfm_stats_.shardCpuFallbacks;
+        chargeCpuShard(page, true, op->sizes[d], tid);
+    },
+        [&](std::size_t d) {
+        return dimms_[d].driver->xfmCompress(
+            shardFrameAddr(page),
+            static_cast<std::uint32_t>(cfg_.shardBytes()), deadline,
+            partition_, tid, op->dict);
+    });
+    if (!offloaded)
+        cpuSwapOut(page, carryRetries(op->retries, std::move(op->done)),
+                   tid);
 }
 
 void
@@ -703,14 +745,7 @@ XfmBackend::swapIn(VirtPage page, bool allow_offload, SwapCallback done)
     // uncorrectable ECC error, so decompressing it would hand
     // corrupt data to the application.
     if (quarantined_.count(page)) {
-        traceFailed(tid);
-        SwapOutcome o;
-        o.page = page;
-        o.success = false;
-        o.rejected = sfm::RejectReason::Quarantined;
-        o.completed = curTick();
-        if (done)
-            done(o);
+        failSwap(page, sfm::RejectReason::Quarantined, tid, false, done);
         return;
     }
     if (injector_.armed()) {
@@ -720,92 +755,29 @@ XfmBackend::swapIn(VirtPage page, bool allow_offload, SwapCallback done)
                 fault::FaultSite::EccUncorrectable)) {
             quarantinePage(page);
             ++xfm_stats_.eccQuarantines;
-            traceFailed(tid);
-            SwapOutcome o;
-            o.page = page;
-            o.success = false;
-            o.rejected = sfm::RejectReason::Quarantined;
-            o.completed = curTick();
-            if (done)
-                done(o);
+            failSwap(page, sfm::RejectReason::Quarantined, tid, false,
+                     done);
             return;
         }
     }
     if (busy_.count(page)) {
-        traceFailed(tid);
-        SwapOutcome o;
-        o.page = page;
-        o.success = false;
-        o.rejected = sfm::RejectReason::Busy;
-        o.completed = curTick();
-        if (done)
-            done(o);
+        failSwap(page, sfm::RejectReason::Busy, tid, false, done);
         return;
     }
 
     // Latency-critical demand faults default to the CPU (Sec. 6).
-    if (!allow_offload) {
+    const PageEntry &entry = it->second;
+    const auto op = allow_offload
+        ? routeShards(page, false, tid, entry.shardSizes)
+        : nullptr;
+    if (!op) {
         cpuSwapIn(page, std::move(done), tid);
         return;
     }
-
-    const PageEntry &entry = it->second;
-
-    // Channel-shard breakers (see swapOut): a Failed channel's shard
-    // decompresses on the CPU straight into its local frame; the
-    // healthy channels stay offloaded.
-    // wouldAdmit() only — probe slots are consumed at the actual
-    // submission below (see swapOut).
-    std::vector<std::uint8_t> use_cpu;
-    std::size_t cpu_shards = 0;
-    if (cfg_.health.enabled) {
-        use_cpu.assign(cfg_.numDimms, 0);
-        for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-            if (!channel_health_[d].wouldAdmit(curTick())) {
-                use_cpu[d] = 1;
-                ++cpu_shards;
-            }
-        }
-        if (cpu_shards == cfg_.numDimms) {
-            ++xfm_stats_.breakerFallbacks;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackBreaker);
-            cpuSwapIn(page, std::move(done), tid);
-            return;
-        }
-    }
-    const auto shard_on_cpu = [&use_cpu](std::size_t d) {
-        return !use_cpu.empty() && use_cpu[d];
-    };
-
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        if (!shard_on_cpu(d)
-            && (!dimms_[d].driver->ringHasSlot()
-                || !dimms_[d].driver->canAccept(
-                       entry.shardSizes[d]))) {
-            ++xfm_stats_.fallbackCapacity;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackCapacity);
-            cpuSwapIn(page, std::move(done), tid);
-            return;
-        }
-    }
-
-    auto op = std::make_shared<PendingOp>();
-    op->page = page;
-    op->isCompress = false;
-    op->ids.resize(cfg_.numDimms, nma::invalidOffloadId);
+    op->done = std::move(done);
     op->sizes = entry.shardSizes;
     op->offset = entry.offset;
-    op->cpuShard = use_cpu;
-    op->shardDone = use_cpu;
-    op->completions = cpu_shards;
-    op->writebacks = cpu_shards;  // CPU shards land immediately
-    op->done = std::move(done);
-    op->traceId = tid;
-    op->traceStart = curTick();
+    op->writebacks = op->completions;  // CPU shards land immediately
     // Pages stored with a preset dictionary: gather the packed copy
     // from the slot-tail stripes and stage it with every descriptor.
     // The host reads it once and fans it out to each engine's SPM,
@@ -816,83 +788,29 @@ XfmBackend::swapIn(VirtPage page, bool allow_offload, SwapCallback done)
                             false, nullptr});
 
     const Tick deadline = decompressDeadline();
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        if (op->dict && !shard_on_cpu(d) && host_ctrl_)
+    const bool offloaded = submitShards(
+        op,
+        [&](std::size_t d) {
+        // Per-shard CPU fallback, same zero-copy shape as cpuSwapIn:
+        // decompress straight into the local frame.
+        cpuDecompressShard(d, page, entry.offset, entry.shardSizes[d],
+                           op->dict.get());
+        ++xfm_stats_.shardCpuFallbacks;
+        chargeCpuShard(page, false, entry.shardSizes[d], tid);
+    },
+        [&](std::size_t d) {
+        if (op->dict && host_ctrl_)
             host_ctrl_->submit({slotAddr(entry.offset),
                                 entry.dictStored, true, nullptr});
-        if (shard_on_cpu(d)) {
-            // Per-shard CPU fallback, same zero-copy shape as
-            // cpuSwapIn: decompress straight into the local frame.
-            dimms_[d].mem->read(slotAddr(entry.offset),
-                                entry.shardSizes[d],
-                                block_scratch_[d]);
-            if (op->dict)
-                compress::decodeShard(*codec_, block_scratch_[d],
-                                      *op->dict, shard_scratch_[d]);
-            else
-                compress::decodeShard(*codec_, block_scratch_[d],
-                                      shard_scratch_[d]);
-            XFM_ASSERT(shard_scratch_[d].size() == cfg_.shardBytes(),
-                       "shard decompressed to wrong size");
-            dimms_[d].mem->write(shardFrameAddr(page),
-                                 shard_scratch_[d]);
-            ++xfm_stats_.shardCpuFallbacks;
-            Tick latency;
-            chargeCpu(cfg_.shardBytes(), false, latency);
-            if (host_ctrl_) {
-                host_ctrl_->submit({page * pageBytes,
-                                    entry.shardSizes[d], false,
-                                    nullptr});
-                host_ctrl_->submit(
-                    {page * pageBytes,
-                     static_cast<std::uint32_t>(cfg_.shardBytes()),
-                     true, nullptr});
-            }
-            if (tracer_ && tid)
-                tracer_->record(tid, obs::Stage::CpuCompute,
-                                curTick(), curTick() + latency);
-            continue;
-        }
-        // See swapOut: the channel admission (probe slot) is consumed
-        // only at the real submission.
-        const bool admitted = channel_health_[d].admit(curTick());
-        const nma::OffloadId id = !admitted
-            ? nma::invalidOffloadId
-            : dimms_[d].driver->xfmDecompress(
-                  slotAddr(entry.offset), entry.shardSizes[d],
-                  shardFrameAddr(page),
-                  static_cast<std::uint32_t>(cfg_.shardBytes()),
-                  deadline, partition_, tid, op->dict);
-        if (admitted) {
-            op->retries += dimms_[d].driver->lastSubmitRetries();
-            xfm_stats_.offloadRetries +=
-                dimms_[d].driver->lastSubmitRetries();
-        }
-        if (id == nma::invalidOffloadId) {
-            for (std::size_t k = 0; k < d; ++k) {
-                if (op->ids[k] == nma::invalidOffloadId)
-                    continue;
-                routes_[k].erase(op->ids[k]);
-                dimms_[k].driver->abort(op->ids[k]);
-            }
-            for (std::size_t k = 0; k <= d; ++k)
-                if (!shard_on_cpu(k) && (k < d || admitted))
-                    channel_health_[k].cancelProbe(curTick());
-            ++xfm_stats_.fallbackCapacity;
-            if (tracer_ && tid)
-                tracer_->point(tid, obs::Stage::Fallback, curTick(),
-                               obs::fallbackCapacity);
-            cpuSwapIn(page,
-                      carryRetries(op->retries, std::move(op->done)),
-                      tid);
-            return;
-        }
-        if (tracer_ && tid)
-            tracer_->point(tid, obs::Stage::Submit, curTick(), d);
-        op->ids[d] = id;
-        routes_[d].emplace(id, op);
-    }
-    busy_.emplace(page, op);
+        return dimms_[d].driver->xfmDecompress(
+            slotAddr(entry.offset), entry.shardSizes[d],
+            shardFrameAddr(page),
+            static_cast<std::uint32_t>(cfg_.shardBytes()), deadline,
+            partition_, tid, op->dict);
+    });
+    if (!offloaded)
+        cpuSwapIn(page, carryRetries(op->retries, std::move(op->done)),
+                  tid);
 }
 
 void
@@ -931,31 +849,11 @@ XfmBackend::placeCompressWritebacks(
         offset = alloc_.allocate(max_size);
     }
     if (offset == SameOffsetAllocator::invalidOffset) {
-        ++stats_.rejectedSwapOuts;
-        ++xfm_stats_.fallbackAlloc;
         op->dead = true;
-        for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-            auto rit = routes_[d].find(op->ids[d]);
-            if (rit != routes_[d].end()) {
-                routes_[d].erase(rit);
-                dimms_[d].driver->abort(op->ids[d]);
-                // Aborted shards report no outcome: return any
-                // half-open probe slot they were admitted under.
-                channel_health_[d].cancelProbe(curTick());
-            }
-        }
+        abandonRoutes(*op);
         busy_.erase(op->page);
-        if (tracer_ && op->traceId)
-            tracer_->point(op->traceId, obs::Stage::Fallback,
-                           curTick(), obs::fallbackAlloc);
-        traceFailed(op->traceId);
-        SwapOutcome o;
-        o.page = op->page;
-        o.success = false;
-        o.rejected = sfm::RejectReason::SfmFull;
-        o.completed = curTick();
-        if (op->done)
-            op->done(o);
+        failSwap(op->page, sfm::RejectReason::SfmFull, op->traceId,
+                 false, op->done);
         return;
     }
     op->offset = offset;
@@ -1090,9 +988,7 @@ XfmBackend::onDrop(std::size_t dimm, nma::OffloadId id,
         return;
     }
     ++xfm_stats_.fallbackDeadline;
-    if (tracer_ && op->traceId)
-        tracer_->point(op->traceId, obs::Stage::Fallback, curTick(),
-                       obs::fallbackDeadline);
+    traceFallback(op->traceId, obs::fallbackDeadline);
     failToCpu(op);
 }
 
@@ -1109,36 +1005,15 @@ XfmBackend::recoverShardOnCpu(std::size_t dimm,
     const bool was_done = op->shardDone[dimm];
     op->shardDone[dimm] = 1;
     const VirtPage page = op->page;
-    Tick latency;  // modelled; the redo itself commits synchronously
 
     if (op->isCompress) {
-        if (op->cpuBlocks.empty())
-            op->cpuBlocks.resize(cfg_.numDimms);
-        dimms_[dimm].mem->read(shardFrameAddr(page), cfg_.shardBytes(),
-                               shard_scratch_[dimm]);
         // Reuse the op's dictionary: the redone block must be
         // byte-identical to the one the engine would have staged.
-        if (op->dict)
-            compress::encodeShardRef(*codec_, *op->dict,
-                                     shard_scratch_[dimm],
-                                     op->cpuBlocks[dimm]);
-        else
-            codec_->compressInto(shard_scratch_[dimm],
-                                 op->cpuBlocks[dimm]);
+        cpuCompressShard(dimm, page, op->dict.get(),
+                         op->cpuBlocks[dimm]);
         op->sizes[dimm] =
             static_cast<std::uint32_t>(op->cpuBlocks[dimm].size());
-        chargeCpu(cfg_.shardBytes(), true, latency);
-        if (host_ctrl_) {
-            host_ctrl_->submit(
-                {page * pageBytes,
-                 static_cast<std::uint32_t>(cfg_.shardBytes()), false,
-                 nullptr});
-            host_ctrl_->submit({page * pageBytes, op->sizes[dimm],
-                                true, nullptr});
-        }
-        if (tracer_ && op->traceId)
-            tracer_->record(op->traceId, obs::Stage::CpuCompute,
-                            curTick(), curTick() + latency);
+        chargeCpuShard(page, true, op->sizes[dimm], op->traceId);
         if (was_done
             && op->offset != SameOffsetAllocator::invalidOffset) {
             // The write-back was stranded after placement: the codec
@@ -1165,28 +1040,8 @@ XfmBackend::recoverShardOnCpu(std::size_t dimm,
     XFM_ASSERT(eit != entries_.end(),
                "watchdog recovery of swap-in for unknown page ", page);
     const std::uint32_t csize = eit->second.shardSizes[dimm];
-    dimms_[dimm].mem->read(slotAddr(op->offset), csize,
-                           block_scratch_[dimm]);
-    if (op->dict)
-        compress::decodeShard(*codec_, block_scratch_[dimm],
-                              *op->dict, shard_scratch_[dimm]);
-    else
-        compress::decodeShard(*codec_, block_scratch_[dimm],
-                              shard_scratch_[dimm]);
-    XFM_ASSERT(shard_scratch_[dimm].size() == cfg_.shardBytes(),
-               "shard decompressed to wrong size");
-    dimms_[dimm].mem->write(shardFrameAddr(page), shard_scratch_[dimm]);
-    chargeCpu(cfg_.shardBytes(), false, latency);
-    if (host_ctrl_) {
-        host_ctrl_->submit({page * pageBytes, csize, false, nullptr});
-        host_ctrl_->submit(
-            {page * pageBytes,
-             static_cast<std::uint32_t>(cfg_.shardBytes()), true,
-             nullptr});
-    }
-    if (tracer_ && op->traceId)
-        tracer_->record(op->traceId, obs::Stage::CpuCompute,
-                        curTick(), curTick() + latency);
+    cpuDecompressShard(dimm, page, op->offset, csize, op->dict.get());
+    chargeCpuShard(page, false, csize, op->traceId);
     if (!was_done)
         ++op->completions;
     if (++op->writebacks == cfg_.numDimms)
@@ -1197,17 +1052,7 @@ void
 XfmBackend::failToCpu(const std::shared_ptr<PendingOp> &op)
 {
     op->dead = true;
-    for (std::size_t d = 0; d < cfg_.numDimms; ++d) {
-        auto rit = routes_[d].find(op->ids[d]);
-        if (rit != routes_[d].end()) {
-            routes_[d].erase(rit);
-            dimms_[d].driver->abort(op->ids[d]);
-            // Aborted shards report no outcome: return any half-open
-            // probe slot they were admitted under, so the faulting
-            // channel alone carries the blame.
-            channel_health_[d].cancelProbe(curTick());
-        }
-    }
+    abandonRoutes(*op);
     // A watchdog can drop a compress op after its same-offset slot
     // was already allocated (write-backs committed); release it or
     // the slot leaks — the CPU path allocates its own.

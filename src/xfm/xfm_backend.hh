@@ -383,8 +383,43 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
                    std::uint64_t trace_id = 0);
     /** Trace a failed request end (busy/quarantine/reject paths). */
     void traceFailed(std::uint64_t trace_id);
+    /** Trace a fallback point with reason @p why (obs::fallback*). */
+    void traceFallback(std::uint64_t trace_id, std::uint64_t why);
+    /**
+     * Report a swap that ends without running: trace its failed end
+     * and hand @p done an unsuccessful outcome. SfmFull also counts
+     * the rejected swap-out and traces the allocation fallback.
+     */
+    void failSwap(sfm::VirtPage page, sfm::RejectReason why,
+                  std::uint64_t trace_id, bool used_cpu,
+                  const sfm::SwapCallback &done);
     void chargeCpu(std::uint64_t bytes, bool compress_op,
                    Tick &latency_out);
+
+    /**
+     * CPU shard codec, compress direction: read DIMM @p d's frame of
+     * @p page and encode it into @p block, against @p dict when set.
+     * Touches only DIMM @p d's memory and scratch slot, so shards
+     * may run concurrently on the worker pool.
+     * @return true when the block references the dictionary.
+     */
+    bool cpuCompressShard(std::size_t d, sfm::VirtPage page,
+                          const Bytes *dict, Bytes &block);
+    /** CPU shard codec, decompress direction: decode the @p csize
+     *  block in slot @p offset on DIMM @p d straight into the page's
+     *  local frame (same concurrency contract). */
+    void cpuDecompressShard(std::size_t d, sfm::VirtPage page,
+                            std::uint64_t offset, std::uint32_t csize,
+                            const Bytes *dict);
+    /** Charge one CPU-handled shard of a hybrid or redone op:
+     *  cycles, host-channel traffic and its CpuCompute span. */
+    void chargeCpuShard(sfm::VirtPage page, bool compress_op,
+                        std::uint32_t csize, std::uint64_t trace_id);
+    /** Trace a whole-page CPU swap's compute span and deliver its
+     *  outcome @p latency later. */
+    void completeCpuSwap(sfm::SwapOutcome outcome,
+                         sfm::SwapCallback done,
+                         std::uint64_t trace_id, Tick latency);
 
     /**
      * CPU-visible refresh stall for a demand access to @p addr
@@ -398,6 +433,30 @@ class XfmBackend : public SimObject, public sfm::SfmBackend
     /** Quarantine a poisoned page, evicting the oldest quarantined
      *  page when cfg.quarantineCap would be exceeded. */
     void quarantinePage(sfm::VirtPage page);
+
+    /**
+     * Offload skeleton, step 1: route the shards of @p page around
+     * open channel breakers, then pre-check a ring slot and the lazy
+     * SPM bound (@p need[d] bytes) on every offloading DIMM.
+     * @return the op to submit (no callback yet), or null when the
+     *         whole page must take the CPU path — that fallback is
+     *         already counted and traced.
+     */
+    std::shared_ptr<PendingOp> routeShards(
+        sfm::VirtPage page, bool is_compress, std::uint64_t trace_id,
+        const std::vector<std::uint32_t> &need);
+    /**
+     * Offload skeleton, step 2: run @p cpu_shard(d) for each
+     * breaker-routed shard and @p submit(d) for the others, in DIMM
+     * order. A refused submit rolls every submitted shard back.
+     * @retval true all shards are in flight (the page is busy).
+     * @retval false rolled back; the caller takes the CPU path.
+     */
+    template <typename CpuShard, typename Submit>
+    bool submitShards(const std::shared_ptr<PendingOp> &op,
+                      CpuShard &&cpu_shard, Submit &&submit);
+    /** Abort every shard of @p op still routed to a DIMM. */
+    void abandonRoutes(const PendingOp &op);
 
     void onComplete(std::size_t dimm, const nma::OffloadCompletion &c);
     void onWriteback(std::size_t dimm, nma::OffloadId id, Tick t);

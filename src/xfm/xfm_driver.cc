@@ -102,81 +102,61 @@ XfmDriver::submitTracked(const nma::OffloadRequest &req,
                          std::uint32_t worst_case)
 {
     last_submit_retries_ = 0;
-    if (ring_) {
-        // Async path: write the descriptor into a free SQ slot and
-        // arm one batched doorbell write. Losses are handled at the
-        // flush, not per submission.
-        const Tick now = dev_.curTick();
-        if (!queue_health_.admit(now)) {
-            ++stats_.breakerFallbacks;
-            ++stats_.fallbacks;
-            return nma::invalidOffloadId;
-        }
-        const nma::OffloadId id = dev_.ringSubmit(req);
-        if (id == nma::invalidOffloadId) {
-            // Full SQ or a device-side breaker: deterministic
-            // same-tick condition, not a queue-pair outcome.
-            queue_health_.cancelProbe(now);
-            ++stats_.fallbacks;
-            return id;
-        }
-        ++stats_.offloadsSubmitted;
-        bound_ += worst_case;
-        tracked_.emplace(id, worst_case);
-        scheduleDoorbellFlush();
-        return id;
-    }
-    // Circuit breaker: a Failed doorbell is not rung at all — the
-    // whole retry ladder is skipped and the caller falls straight
-    // back to the CPU path.
-    if (!doorbell_health_.admit(dev_.curTick())) {
+    // Circuit breaker (the queue pair's in ring mode, the doorbell's
+    // otherwise): a Failed one is not rung at all — the caller falls
+    // straight back to the CPU path.
+    health::HealthMonitor &breaker =
+        ring_ ? queue_health_ : doorbell_health_;
+    if (!breaker.admit(dev_.curTick())) {
         ++stats_.breakerFallbacks;
         ++stats_.fallbacks;
         return nma::invalidOffloadId;
     }
-    for (std::uint32_t attempt = 1;; ++attempt) {
-        // Doorbell-loss fault: the MMIO write never reaches the
-        // device, so the descriptor silently vanishes. This is the
-        // transient class of failure that retry-with-backoff is
-        // for; persistent exhaustion (queue full) is not retried.
-        if (injector_
-            && injector_->shouldInject(
-                   fault::FaultSite::MmioDoorbellLoss)) {
-            ++stats_.doorbellLosses;
-            doorbell_health_.recordFault(dev_.curTick());
-            if (doorbell_health_.rawState()
-                == health::HealthState::Failed) {
-                // The loss tripped (or re-tripped) the breaker:
-                // abandon the remaining retry budget immediately.
-                ++stats_.breakerFallbacks;
-                ++stats_.fallbacks;
-                return nma::invalidOffloadId;
-            }
-            if (attempt >= retry_.maxAttempts) {
-                ++stats_.fallbacks;
-                return nma::invalidOffloadId;
-            }
-            ++stats_.retries;
-            ++last_submit_retries_;
-            stats_.backoffTicksAccrued +=
-                retry_.backoffFor(attempt - 1);
-            continue;
-        }
-        const nma::OffloadId id = dev_.submit(req);
-        if (id == nma::invalidOffloadId) {
-            // Device-side exhaustion (queue full, device breaker):
-            // the doorbell write itself worked, so this is not a
-            // doorbell outcome — return any probe slot unused.
-            doorbell_health_.cancelProbe(dev_.curTick());
+    // Legacy doorbell-loss fault: the MMIO write never reaches the
+    // device, so the descriptor silently vanishes. This is the
+    // transient class of failure that retry-with-backoff is for;
+    // persistent exhaustion (queue full) is not retried. Ring mode
+    // handles losses at the batched doorbell flush instead.
+    for (std::uint32_t attempt = 1;
+         !ring_ && injector_
+         && injector_->shouldInject(fault::FaultSite::MmioDoorbellLoss);
+         ++attempt) {
+        ++stats_.doorbellLosses;
+        doorbell_health_.recordFault(dev_.curTick());
+        if (doorbell_health_.rawState() == health::HealthState::Failed) {
+            // The loss tripped (or re-tripped) the breaker: abandon
+            // the remaining retry budget immediately.
+            ++stats_.breakerFallbacks;
             ++stats_.fallbacks;
-            return id;
+            return nma::invalidOffloadId;
         }
-        doorbell_health_.recordSuccess(dev_.curTick());
-        ++stats_.offloadsSubmitted;
-        bound_ += worst_case;
-        tracked_.emplace(id, worst_case);
+        if (attempt >= retry_.maxAttempts) {
+            ++stats_.fallbacks;
+            return nma::invalidOffloadId;
+        }
+        ++stats_.retries;
+        ++last_submit_retries_;
+        stats_.backoffTicksAccrued += retry_.backoffFor(attempt - 1);
+    }
+    const nma::OffloadId id = dev_.submit(req);
+    if (id == nma::invalidOffloadId) {
+        // Device-side exhaustion (full queue or SQ, device breaker):
+        // a deterministic same-tick condition, not a doorbell or
+        // queue-pair outcome — return any probe slot unused.
+        breaker.cancelProbe(dev_.curTick());
+        ++stats_.fallbacks;
         return id;
     }
+    ++stats_.offloadsSubmitted;
+    bound_ += worst_case;
+    tracked_.emplace(id, worst_case);
+    // Ring mode arms one batched SQ tail doorbell write for this
+    // tick; the legacy doorbell was rung by the submit itself.
+    if (ring_)
+        scheduleDoorbellFlush();
+    else
+        doorbell_health_.recordSuccess(dev_.curTick());
+    return id;
 }
 
 void

@@ -54,6 +54,8 @@ struct RunResult
     std::string json;             ///< JSON snapshot export
     std::string trace;            ///< JSON-lines trace export
     std::uint64_t injections;     ///< total injected faults
+    std::uint64_t shardCpuFallbacks;   ///< breaker-routed CPU shards
+    std::uint64_t watchdogShardRedos;  ///< watchdog-redone shards
 };
 
 /** How runSystem configures the three-tier hierarchy. */
@@ -72,12 +74,15 @@ enum class DictMode
     On,            ///< shardDict = true
 };
 
-/** One complete demote/promote run under the given fault seed. */
+/** One complete demote/promote run under the given fault seed.
+ *  @p armed_health turns on the breakers, a short watchdog and a
+ *  quarantine cap, plus uncorrectable ECC faults to fill it. */
 RunResult
 runSystem(std::uint64_t fault_seed, std::size_t workers = 1,
           std::uint32_t sq_depth = 1, std::uint32_t cq_coalesce = 1,
           TierMode tier_mode = TierMode::Default,
-          DictMode dict_mode = DictMode::Default)
+          DictMode dict_mode = DictMode::Default,
+          bool armed_health = false)
 {
     EventQueue eq;
     SystemConfig cfg = faultedConfig(fault_seed);
@@ -103,6 +108,16 @@ runSystem(std::uint64_t fault_seed, std::size_t workers = 1,
         cfg.shardDict = dict_mode == DictMode::On;
         cfg.dictBytes = 2048;
     }
+    if (armed_health) {
+        cfg.health.enabled = true;
+        cfg.health.window = 8;
+        cfg.health.failConsecutive = 2;
+        cfg.health.cooldown = microseconds(20.0);
+        cfg.xfmDevice.watchdogWindows = 4;
+        cfg.quarantineCap = 2;
+        cfg.faultPlan.site(fault::FaultSite::EccUncorrectable)
+            .probability = 0.05;
+    }
     System sys("sys", eq, cfg);
     obs::Tracer tracer(4096);
     sys.setTracer(&tracer);
@@ -125,7 +140,22 @@ runSystem(std::uint64_t fault_seed, std::size_t workers = 1,
     r.json = sys.metrics().toJson();
     r.trace = tracer.toJsonLines();
     r.injections = sys.faultInjections();
+    const obs::Snapshot snap = sys.metrics().snapshot();
+    r.shardCpuFallbacks = snap.u64("sys.backend.shardCpuFallbacks");
+    r.watchdogShardRedos = snap.u64("sys.backend.watchdogShardRedos");
     return r;
+}
+
+/** FNV-1a 64 of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (const char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
 }
 
 TEST(Determinism, SameSeedsSameStats)
@@ -376,6 +406,59 @@ TEST(Determinism, DifferentFaultSeedDiverges)
     // Same workload, different fault RNG: the injected sequence must
     // differ somewhere observable.
     EXPECT_NE(a.stats, c.stats);
+}
+
+/** The whole-system exports are behaviour: the stats text, JSON
+ *  snapshot and trace of each configuration row are pinned by
+ *  digest, so a refactor of the offload path (backend skeleton,
+ *  CPU shard codec, device submit/abort/delivery, legacy queue and
+ *  command ring) must reproduce them byte for byte. The health rows
+ *  run the breaker-routed hybrid shards and the watchdog redo. */
+TEST(SystemGolden, SnapshotAndTraceDigestsArePinned)
+{
+    struct Golden
+    {
+        const char *name;
+        RunResult run;
+        std::uint64_t stats;
+        std::uint64_t json;
+        std::uint64_t trace;
+    };
+    const Golden golden[] = {
+        {"default", runSystem(7), 0xa36852e34bd09291ull,
+         0xe0337b64e1fddd38ull, 0xe0f392bd6df981fcull},
+        {"depth8", runSystem(7, 1, 8, 2), 0x94bcc7f20293b9abull,
+         0xc8d3835320887e38ull, 0xefa8d50f5a3be2b3ull},
+        {"dict",
+         runSystem(7, 1, 1, 1, TierMode::Default, DictMode::On),
+         0x97c3b51fb0e56946ull, 0xcb875de8cffd8d79ull,
+         0xe0f392bd6df981fcull},
+        {"tier", runSystem(7, 1, 1, 1, TierMode::On),
+         0xc4a4424404f8cc73ull, 0x9a012b59fb9b2370ull,
+         0xcbc5b550be0f815aull},
+        {"health-depth1",
+         runSystem(7, 1, 1, 1, TierMode::Default, DictMode::Default,
+                   true),
+         0xd4955c6659b5861eull, 0x08dafff6485940e2ull,
+         0x55876d8d24ebc9ecull},
+        {"health-depth8",
+         runSystem(7, 1, 8, 2, TierMode::Default, DictMode::Default,
+                   true),
+         0xe88f903fbeb10267ull, 0x21a45f885472d6cdull,
+         0xa29eaa09849b8886ull},
+    };
+    for (const auto &g : golden) {
+        EXPECT_EQ(fnv1a(g.run.stats), g.stats)
+            << g.name << " stats: 0x" << std::hex << fnv1a(g.run.stats);
+        EXPECT_EQ(fnv1a(g.run.json), g.json)
+            << g.name << " json: 0x" << std::hex << fnv1a(g.run.json);
+        EXPECT_EQ(fnv1a(g.run.trace), g.trace)
+            << g.name << " trace: 0x" << std::hex << fnv1a(g.run.trace);
+    }
+    for (const auto *g : {&golden[4], &golden[5]}) {
+        EXPECT_GT(g->run.shardCpuFallbacks, 0u) << g->name;
+        EXPECT_GT(g->run.watchdogShardRedos, 0u) << g->name;
+    }
 }
 
 TEST(Determinism, ModeledEngineIsPerEngineState)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "common/random.hh"
 #include "compress/corpus.hh"
@@ -15,11 +16,13 @@
 #include "dram/ecc.hh"
 #include "dram/phys_mem.hh"
 #include "dram/refresh.hh"
+#include "fault/fault.hh"
 #include "nma/engine.hh"
 #include "nma/mmio.hh"
 #include "nma/spm.hh"
 #include "nma/xfm_device.hh"
 #include "sim/event_queue.hh"
+#include "xfm/xfm_driver.hh"
 
 namespace xfm
 {
@@ -753,6 +756,136 @@ TEST_F(XfmDeviceTest, EngineCompletionWaitsForTransfer)
     EXPECT_GE(completed,
               dram::accessCompletionOffset(cfg_.rank.device, 0));
     EXPECT_LT(completed, microseconds(1.0));
+}
+
+// ---------------------------------------------------------------- abort
+
+/** Where in its lifecycle an offload is when it is aborted. */
+enum class AbortAt
+{
+    Queued,         ///< submitted, not yet drained (no doorbell)
+    PendingRead,    ///< drained, waiting for a window slot
+    EngineRunning,  ///< SPM reserved, engine event in flight
+    StagedNoDest,   ///< compress output staged, no write-back target
+    Stalled,        ///< injected engine stall, drop not yet delivered
+};
+
+const char *
+abortAtName(AbortAt at)
+{
+    switch (at) {
+      case AbortAt::Queued: return "queued";
+      case AbortAt::PendingRead: return "pending-read";
+      case AbortAt::EngineRunning: return "engine-running";
+      case AbortAt::StagedNoDest: return "staged-no-dest";
+      case AbortAt::Stalled: return "stalled";
+    }
+    return "?";
+}
+
+/** One compress offload, aborted at @p at on a device whose queue
+ *  is the legacy request queue (@p sq_depth 1) or the command ring.
+ *  The engine breaker sits in probation, so the submit consumes a
+ *  probe that the abort path must hand back or resolve. */
+void
+abortOneOffload(std::uint32_t sq_depth, AbortAt at)
+{
+    SCOPED_TRACE(std::string("sq_depth=") + std::to_string(sq_depth)
+                 + " state=" + abortAtName(at));
+    EventQueue eq;
+    const dram::MemSystemConfig mcfg = deviceTestConfig();
+    const dram::AddressMap map(mcfg);
+    dram::PhysMem mem(mcfg.totalCapacityBytes());
+    dram::RefreshController refresh("refresh", eq, mcfg.rank.device, 1);
+
+    XfmDeviceConfig dcfg;
+    dcfg.sqDepth = sq_depth;
+    // Row 60000 is not refreshed for a long time: with no random
+    // slot its read stays pending; with one it runs at the first
+    // window that sees it.
+    dcfg.maxRandomPerWindow = at == AbortAt::PendingRead ? 0 : 1;
+    dcfg.health.enabled = true;
+    dcfg.health.cooldown = 0;
+    fault::FaultPlan plan;
+    plan.site(fault::FaultSite::EngineStall).probability =
+        at == AbortAt::Stalled ? 1.0 : 0.0;
+    fault::FaultInjector injector(plan);
+
+    XfmDevice dev("xfm0", eq, dcfg, map, mem, refresh);
+    dev.setFaultInjector(&injector);
+    xfmsys::XfmDriver driver(dev);
+    refresh.start();
+    dev.engineHealth().forceFail(0);  // cooldown 0: probation at once
+
+    dram::DramCoord c{};
+    c.row = 60000;
+    const std::uint64_t src = map.encode(c);
+    mem.write(src, Bytes(4096, 6));
+
+    OffloadId id = invalidOffloadId;
+    bool aborted = false;
+    bool completed = false;
+    int late_callbacks = 0;
+    driver.onComplete([&](const OffloadCompletion &comp) {
+        if (comp.id != id)
+            return;
+        completed = true;
+        late_callbacks += aborted;
+    });
+    driver.onWriteback([&](OffloadId wid, Tick) {
+        late_callbacks += aborted && wid == id;
+    });
+    driver.onDrop([&](OffloadId did, DropReason) {
+        late_callbacks += aborted && did == id;
+    });
+
+    id = driver.xfmCompress(src, 4096, maxTick);
+    ASSERT_NE(id, invalidOffloadId);
+    EXPECT_EQ(dev.engineHealth().outstandingProbes(), 1u);
+
+    const auto step_until = [&](auto reached) {
+        for (int i = 0; i < 100000 && !reached(); ++i)
+            ASSERT_TRUE(eq.step());
+        ASSERT_TRUE(reached());
+    };
+    switch (at) {
+      case AbortAt::Queued:
+        break;
+      case AbortAt::PendingRead:
+        step_until([&] { return dev.pendingReads() == 1; });
+        break;
+      case AbortAt::EngineRunning:
+        step_until([&] { return dev.spm().usedBytes() > 0; });
+        EXPECT_FALSE(completed);
+        break;
+      case AbortAt::StagedNoDest:
+        step_until([&] { return completed; });
+        EXPECT_GT(dev.spm().usedBytes(), 0u);
+        break;
+      case AbortAt::Stalled:
+        step_until([&] { return dev.stats().engineStalls == 1; });
+        break;
+    }
+
+    driver.abort(id);
+    aborted = true;
+    eq.run(eq.now() + 64 * mcfg.rank.device.tREFI());
+
+    EXPECT_EQ(dev.spm().usedBytes(), 0u);
+    EXPECT_EQ(late_callbacks, 0);
+    EXPECT_EQ(dev.engineHealth().outstandingProbes(), 0u);
+    EXPECT_EQ(dev.pendingReads(), 0u);
+    EXPECT_EQ(dev.queuedRequests(), 0u);
+    EXPECT_EQ(driver.occupancyBound(), 0u);
+}
+
+TEST(XfmDeviceAbort, EveryStateReleasesSpmAndSilencesTheId)
+{
+    for (std::uint32_t depth : {1u, 8u})
+        for (AbortAt at : {AbortAt::Queued, AbortAt::PendingRead,
+                           AbortAt::EngineRunning, AbortAt::StagedNoDest,
+                           AbortAt::Stalled})
+            abortOneOffload(depth, at);
 }
 
 } // namespace
