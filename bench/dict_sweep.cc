@@ -23,9 +23,9 @@
  * so the dict column surfaces its real cost: a slightly longer
  * slot read plus the staging transfer.
  *
- * Every dict-mode page is decoded back through the shared
- * decodeShard() path and byte-compared inside
- * measureMultiChannelDict(); that round-trip is the ONLY exit gate.
+ * Every page is decoded back through the shared decodeShard() path
+ * and byte-compared inside measureMultiChannel(); that round-trip is
+ * the ONLY exit gate.
  * Ratios, latencies, and recovery fractions are measurements
  * archived by CI in BENCH_DICT.json (schema xfm.dict_sweep.v1),
  * never a pass/fail criterion.
@@ -153,10 +153,10 @@ main(int argc, char **argv)
                         corpusName(kind).c_str(), d, "off", p.ratio,
                         p.placedRatio, p.restoreNs, "-");
 
-            // Round-trip of every dict-mode page is asserted
-            // inside measureMultiChannelDict().
-            const auto dicted = measureMultiChannelDict(
-                pages, codec, d, dictBytes);
+            // Round-trip of every page is asserted inside
+            // measureMultiChannel().
+            const auto dicted =
+                measureMultiChannel(pages, codec, d, dictBytes);
             Point q;
             q.kind = kind;
             q.dimms = d;

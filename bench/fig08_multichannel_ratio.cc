@@ -73,7 +73,7 @@ main()
         const auto pages = paginate(corpus);
         const auto r1 = measureMultiChannel(pages, codec, 1);
         const auto r4 = measureMultiChannel(pages, codec, 4);
-        const auto rd = measureMultiChannelDict(pages, codec, 4, 2048);
+        const auto rd = measureMultiChannel(pages, codec, 4, 2048);
         const double gap = r1.ratio() - r4.ratio();
         const double rec =
             gap > 1e-9 ? (rd.ratio() - r4.ratio()) / gap : 0.0;

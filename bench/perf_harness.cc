@@ -154,10 +154,6 @@ runCpuPipeline(std::size_t workers, std::uint64_t pages,
     EventQueue eq;
     xfmsys::XfmSystemConfig cfg;
     cfg.numDimms = 8;
-    cfg.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.dimmMem.channels = 1;
-    cfg.dimmMem.dimmsPerChannel = 1;
-    cfg.dimmMem.ranksPerDimm = 1;
     cfg.localPages = pages;
     cfg.sfmBase = gib(1);
     cfg.sfmBytes = mib(64);

@@ -66,28 +66,6 @@ ddr5Device32Gb()
     return c;
 }
 
-DeviceConfig
-ddr4Device8Gb2400()
-{
-    DeviceConfig c;
-    c.name = "DDR4-2400 8Gb";
-    c.generation = DdrGeneration::Ddr4;
-    c.capacityBits = std::uint64_t(8) << 30;
-    c.banksPerChip = 16;
-    c.rowsPerBank = 64 * 1024;
-    c.subarraysPerBank = 128;
-    c.rowBytesPerChip = 1024;
-    c.rowsPerRefresh = 8;
-    c.tCK = 833;  // 2400 MT/s
-    c.tRCD = nanoseconds(14.16);
-    c.tCL = nanoseconds(14.16);
-    c.tRP = nanoseconds(14.16);
-    c.tRC = nanoseconds(46.0);
-    c.tRFC = nanoseconds(350.0);
-    c.tBURST = picoseconds(3333);  // BL8 at 2400 MT/s
-    return c;
-}
-
 std::uint32_t
 maxAccessesPerTrfc(const DeviceConfig &dev)
 {

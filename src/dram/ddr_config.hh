@@ -194,9 +194,6 @@ DeviceConfig ddr5Device8Gb();
 DeviceConfig ddr5Device16Gb();
 DeviceConfig ddr5Device32Gb();
 
-/** DDR4-2400 device used by the emulator methodology (gem5 model). */
-DeviceConfig ddr4Device8Gb2400();
-
 /**
  * A rank: eight x8 devices in lockstep (plus implicit ECC chips).
  * A DIMM in this model carries one or two ranks and one NMA in the

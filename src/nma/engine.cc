@@ -43,20 +43,54 @@ CompressionEngine::modeledSize(std::size_t input_size)
             static_cast<std::uint32_t>(input_size)));
 }
 
+compress::ScratchArena::Lease
+CompressionEngine::stage(ByteSpan bytes)
+{
+    auto lease = staging_.acquire(bytes.size());
+    lease->assign(bytes.begin(), bytes.end());
+    return lease;
+}
+
+EngineJob
+CompressionEngine::start(compress::ScratchArena::Lease input,
+                         std::shared_ptr<const Bytes> dict, bool decode,
+                         bool defer)
+{
+    EngineJob job;
+    job.state_ = std::make_shared<EngineJob::State>();
+    job.state_->input = std::move(input);
+    // The one codec step per direction; an empty dictionary means a
+    // plain block (DESIGN.md §16).
+    auto step = [codec = codec_, s = job.state_, d = std::move(dict),
+                 decode] {
+        const ByteSpan dict_span = d ? ByteSpan(*d) : ByteSpan{};
+        if (decode)
+            compress::decodeShard(*codec, *s->input, dict_span, s->out);
+        else
+            compress::encodeShard(*codec, dict_span, *s->input, s->out);
+    };
+    if (defer && pool_ && pool_->parallel())
+        job.state_->task = pool_->submit(std::move(step));
+    else
+        step();
+    return job;
+}
+
+EngineJob
+CompressionEngine::modeledJob(std::size_t size)
+{
+    EngineJob job;
+    job.state_ = std::make_shared<EngineJob::State>();
+    job.state_->out.assign(size, 0);
+    return job;
+}
+
 std::pair<Bytes, Tick>
 CompressionEngine::compress(ByteSpan input,
                             std::shared_ptr<const Bytes> dict)
 {
-    bytes_compressed_ += input.size();
-    Bytes out;
-    if (profile_.modeledRatio > 0.0)
-        out.assign(modeledSize(input.size()), 0);
-    else if (dict && !dict->empty())
-        compress::encodeShardRef(*codec_, *dict, input, out);
-    else
-        codec_->compressInto(input, out);
-    return {std::move(out), durationFor(input.size(),
-                                        profile_.compressGBps)};
+    auto [job, latency] = compressDeferred(stage(input), std::move(dict));
+    return {job.take(), latency};
 }
 
 std::pair<Bytes, Tick>
@@ -64,23 +98,9 @@ CompressionEngine::decompress(ByteSpan block,
                               std::uint32_t expected_raw,
                               std::shared_ptr<const Bytes> dict)
 {
-    Bytes out;
-    if (profile_.modeledRatio > 0.0) {
-        XFM_ASSERT(expected_raw > 0,
-                   "size-model decompression needs the expected "
-                   "output size");
-        out.assign(expected_raw, 0);
-    } else if (dict && !dict->empty()) {
-        // The driver staged the page's preset dictionary alongside
-        // the descriptor (DESIGN.md §16); decodeShard validates it
-        // against the 0xD2 header and ignores it for plain blocks.
-        compress::decodeShard(*codec_, block, *dict, out);
-    } else {
-        compress::decodeShard(*codec_, block, out);
-    }
-    bytes_decompressed_ += out.size();
-    return {std::move(out), durationFor(out.size(),
-                                        profile_.decompressGBps)};
+    auto [job, latency] =
+        decompressDeferred(stage(block), expected_raw, std::move(dict));
+    return {job.take(), latency};
 }
 
 std::pair<EngineJob, Tick>
@@ -90,35 +110,13 @@ CompressionEngine::compressDeferred(compress::ScratchArena::Lease input,
     const std::size_t n = input->size();
     bytes_compressed_ += n;
     const Tick latency = durationFor(n, profile_.compressGBps);
-
-    EngineJob job;
-    job.state_ = std::make_shared<EngineJob::State>();
-    auto &state = *job.state_;
-    if (profile_.modeledRatio > 0.0) {
-        // Inline: the jitter counter must advance in submission
-        // order or same-seed runs diverge across worker counts.
-        state.out.assign(modeledSize(n), 0);
-        return {std::move(job), latency};
-    }
-    state.input = std::move(input);
-    if (dict && dict->empty())
-        dict.reset();
-    if (pool_ && pool_->parallel()) {
-        state.task = pool_->submit(
-            [codec = codec_, s = job.state_, d = std::move(dict)] {
-                if (d)
-                    compress::encodeShardRef(*codec, *d, *s->input,
-                                             s->out);
-                else
-                    codec->compressInto(*s->input, s->out);
-            });
-    } else if (dict) {
-        compress::encodeShardRef(*codec_, *dict, *state.input,
-                                 state.out);
-    } else {
-        codec_->compressInto(*state.input, state.out);
-    }
-    return {std::move(job), latency};
+    // Size-model mode runs inline: the jitter counter must advance
+    // in submission order or same-seed runs diverge across worker
+    // counts.
+    if (profile_.modeledRatio > 0.0)
+        return {modeledJob(modeledSize(n)), latency};
+    return {start(std::move(input), std::move(dict), false, true),
+            latency};
 }
 
 std::pair<EngineJob, Tick>
@@ -127,56 +125,24 @@ CompressionEngine::decompressDeferred(
     std::shared_ptr<const Bytes> dict)
 {
     EngineJob job;
-    job.state_ = std::make_shared<EngineJob::State>();
-    auto &state = *job.state_;
-    if (dict && dict->empty())
-        dict.reset();
-
     if (profile_.modeledRatio > 0.0) {
         XFM_ASSERT(expected_raw > 0,
                    "size-model decompression needs the expected "
                    "output size");
-        state.out.assign(expected_raw, 0);
-        bytes_decompressed_ += expected_raw;
-        return {std::move(job),
-                durationFor(expected_raw, profile_.decompressGBps)};
-    }
-
-    if (expected_raw == 0) {
-        // Unknown output size: run inline so the latency and byte
-        // counter can be charged from the actual output.
-        if (dict)
-            compress::decodeShard(*codec_, *input, *dict, state.out);
-        else
-            compress::decodeShard(*codec_, *input, state.out);
-        bytes_decompressed_ += state.out.size();
-        return {std::move(job), durationFor(state.out.size(),
-                                            profile_.decompressGBps)};
-    }
-
-    // A valid block decompresses to exactly expected_raw bytes, so
-    // charging latency and counters from it at submission keeps both
-    // identical to the synchronous path for any worker count.
-    bytes_decompressed_ += expected_raw;
-    const Tick latency =
-        durationFor(expected_raw, profile_.decompressGBps);
-    state.input = std::move(input);
-    if (pool_ && pool_->parallel()) {
-        state.task = pool_->submit(
-            [codec = codec_, s = job.state_, d = std::move(dict)] {
-                if (d)
-                    compress::decodeShard(*codec, *s->input, *d,
-                                          s->out);
-                else
-                    compress::decodeShard(*codec, *s->input, s->out);
-            });
-    } else if (dict) {
-        compress::decodeShard(*codec_, *state.input, *dict,
-                              state.out);
+        job = modeledJob(expected_raw);
     } else {
-        compress::decodeShard(*codec_, *state.input, state.out);
+        // A valid block decompresses to exactly expected_raw bytes,
+        // so charging from it at submission keeps latency and the
+        // byte counter identical for any worker count. With no
+        // expected size the job runs inline and both are charged
+        // from the actual output.
+        job = start(std::move(input), std::move(dict), true,
+                    expected_raw > 0);
     }
-    return {std::move(job), latency};
+    const std::size_t raw =
+        expected_raw > 0 ? expected_raw : job.state_->out.size();
+    bytes_decompressed_ += raw;
+    return {std::move(job), durationFor(raw, profile_.decompressGBps)};
 }
 
 } // namespace nma

@@ -102,11 +102,13 @@ class CompressionEngine
                       EngineProfile profile = EngineProfile{});
 
     /**
-     * Compress and report (output, compute latency).
+     * Compress and report (output, compute latency): the deferred
+     * job of compressDeferred() on a staged copy of @p input,
+     * take()n at once.
      *
      * @param dict optional preset dictionary (DESIGN.md §16): when
      *        non-null and non-empty the output is a dict-referencing
-     *        container (compress::encodeShardRef) unless the plain
+     *        container (compress::encodeShard) unless the plain
      *        block is smaller — the dictionary itself is stored once
      *        per page by the backend, not replicated into shards.
      *        Ignored in size-model mode.
@@ -116,12 +118,16 @@ class CompressionEngine
              std::shared_ptr<const Bytes> dict = nullptr);
 
     /**
-     * Decompress and report (output, compute latency).
+     * Decompress and report (output, compute latency): the deferred
+     * job of decompressDeferred() on a staged copy of @p block,
+     * take()n at once.
      *
      * @param expected_raw expected decompressed size; required by
-     *        size-model mode, ignored (0 allowed) otherwise.
-     * @param dict preset dictionary staged by the driver for 0xD2
-     *        blocks (DESIGN.md §16); may be null for plain/0xD1.
+     *        size-model mode, 0 (charge the actual output) allowed
+     *        otherwise.
+     * @param dict the page's preset dictionary, staged by the driver
+     *        for 0xD2 blocks (DESIGN.md §16); null for a page stored
+     *        without one.
      */
     std::pair<Bytes, Tick>
     decompress(ByteSpan block, std::uint32_t expected_raw = 0,
@@ -186,6 +192,21 @@ class CompressionEngine
     Tick durationFor(std::size_t bytes, double gbps) const;
     std::uint32_t modeledSize(std::size_t input_size);
 
+    /** Copy @p bytes into a staging lease for the sync entry points. */
+    compress::ScratchArena::Lease stage(ByteSpan bytes);
+
+    /**
+     * Issue the codec step — compress::decodeShard() when @p decode,
+     * else compress::encodeShard() — on the pool when @p defer and
+     * the pool is parallel, inline otherwise.
+     */
+    EngineJob start(compress::ScratchArena::Lease input,
+                    std::shared_ptr<const Bytes> dict, bool decode,
+                    bool defer);
+
+    /** A finished size-model job: @p size zero bytes. */
+    static EngineJob modeledJob(std::size_t size);
+
     std::shared_ptr<compress::Compressor> codec_;
     EngineProfile profile_;
     WorkerPool *pool_ = nullptr;
@@ -196,6 +217,7 @@ class CompressionEngine
      * identical inputs, or same-seed runs diverge.
      */
     std::uint64_t model_counter_ = 0;
+    compress::ScratchArena staging_;
     stats::Counter bytes_compressed_;
     stats::Counter bytes_decompressed_;
 };

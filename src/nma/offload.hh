@@ -76,12 +76,14 @@ struct OffloadRequest
     /** Stamped by the device at submit(); anchors the queue span. */
     Tick submitTick = 0;
     /**
-     * Preset dictionary staged with the descriptor (DESIGN.md §16);
-     * nullptr/empty disables dict mode. Compress offloads emit
-     * dict-referencing (0xD2) blocks with it; decompress offloads
-     * need it back to decode those blocks — the driver recovers it
-     * from the page's once-per-slot packed copy and stages it into
-     * the engine's SPM as part of the descriptor.
+     * Preset dictionary staged with the descriptor (DESIGN.md §16)
+     * and handed to compress::encodeShard()/decodeShard(); nullptr
+     * or empty means plain blocks. Compress offloads emit
+     * dict-referencing (0xD2) blocks with it where those are
+     * smaller; decompress offloads need it back to decode them —
+     * the driver recovers it from the page's once-per-slot packed
+     * copy and stages it into the engine's SPM as part of the
+     * descriptor.
      */
     std::shared_ptr<const Bytes> dict;
 };

@@ -194,8 +194,7 @@ CompletionQueue::reap(CompletionRecord &out)
 
 CommandRing::CommandRing(std::uint32_t sq_depth)
     : sq_(sq_depth, stats_), cq_(2 * sq_depth + 2, stats_),
-      occupancy_(0.0, static_cast<double>(sq_depth) + 1.0,
-                 sq_depth + 1)
+      occupancy_(0.0, static_cast<double>(sq_depth), sq_depth)
 {
 }
 

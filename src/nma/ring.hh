@@ -198,11 +198,15 @@ class CommandRing
     RingStats &stats() { return stats_; }
     const RingStats &stats() const { return stats_; }
 
-    /** Sample the SQ occupancy histogram (at enqueue time). */
+    /**
+     * Sample the SQ occupancy histogram (at enqueue time). Occupancy
+     * n lands mid-way in unit bucket [n-1, n), so percentile(),
+     * which reports a bucket's upper edge, reads n.
+     */
     void
     sampleOccupancy()
     {
-        occupancy_.sample(static_cast<double>(sq_.inFlight()));
+        occupancy_.sample(static_cast<double>(sq_.inFlight()) - 0.5);
     }
 
     /** Register ring counters/gauges under `<prefix>.ring.*`. */

@@ -7,7 +7,7 @@
  * classification, engine compute, SPM staging, write-back, or the
  * CPU-fallback path — stamped with event-queue ticks. Events land in
  * a bounded ring buffer (oldest dropped first, drops accounted) and
- * export as JSON-lines or Chrome trace format.
+ * export as JSON lines.
  *
  * Tracing disabled is a null-pointer check on the hot path: layers
  * hold an `obs::Tracer *` that defaults to nullptr and allocate
@@ -129,9 +129,6 @@ class Tracer
 
     /** One JSON object per line, oldest first. */
     std::string toJsonLines() const;
-
-    /** Chrome trace-event format ("X" complete events, ts in us). */
-    std::string toChromeTrace() const;
 
     void clear();
 

@@ -37,9 +37,6 @@ System::System(std::string name, EventQueue &eq,
         xfmsys::XfmSystemConfig xcfg;
         xcfg.numDimms = cfg_.xfmDimms;
         xcfg.dimmMem.rank.device = cfg_.dimmDevice;
-        xcfg.dimmMem.channels = 1;
-        xcfg.dimmMem.dimmsPerChannel = 1;
-        xcfg.dimmMem.ranksPerDimm = 1;
         xcfg.localPages = cfg_.pages;
         xcfg.sfmBase = gib(1);
         xcfg.sfmBytes = cfg_.sfmBytes;

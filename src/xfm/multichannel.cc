@@ -188,43 +188,8 @@ SameOffsetAllocator::slotSize(std::uint64_t offset) const
 MultiChannelResult
 measureMultiChannel(const std::vector<Bytes> &pages,
                     const compress::Compressor &codec,
-                    std::size_t num_dimms, std::size_t interleave,
-                    WorkerPool *pool)
-{
-    MultiChannelResult res;
-    res.dimms = num_dimms;
-    std::vector<Bytes> shards;
-    std::vector<Bytes> blocks(num_dimms);
-    for (const auto &page : pages) {
-        res.rawBytes += page.size();
-        splitPageInto(page, num_dimms, interleave, shards);
-        if (pool && pool->parallel()) {
-            pool->parallelFor(num_dimms, [&](std::size_t d) {
-                codec.compressInto(shards[d], blocks[d]);
-            });
-        } else {
-            for (std::size_t d = 0; d < num_dimms; ++d)
-                codec.compressInto(shards[d], blocks[d]);
-        }
-        // Sizes accumulate in shard order regardless of which
-        // worker compressed each shard.
-        std::uint64_t max_shard = 0;
-        for (const auto &block : blocks) {
-            res.compressedBytes += block.size();
-            max_shard = std::max<std::uint64_t>(max_shard, block.size());
-        }
-        // Same-offset placement: every DIMM reserves the largest
-        // shard's extent.
-        res.placedBytes += max_shard * num_dimms;
-    }
-    return res;
-}
-
-MultiChannelResult
-measureMultiChannelDict(const std::vector<Bytes> &pages,
-                        const compress::Compressor &codec,
-                        std::size_t num_dimms, std::size_t dict_bytes,
-                        std::size_t interleave, WorkerPool *pool)
+                    std::size_t num_dimms, std::size_t dict_bytes,
+                    std::size_t interleave, WorkerPool *pool)
 {
     MultiChannelResult res;
     res.dimms = num_dimms;
@@ -237,19 +202,23 @@ measureMultiChannelDict(const std::vector<Bytes> &pages,
     for (const auto &page : pages) {
         res.rawBytes += page.size();
         splitPageInto(page, num_dimms, interleave, shards);
-        dict = compress::buildPresetDictionary(page, interleave,
-                                               dict_bytes);
-        compress::packDict(codec, dict, packed);
+        if (dict_bytes > 0) {
+            dict = compress::buildPresetDictionary(page, interleave,
+                                                   dict_bytes);
+            compress::packDict(codec, dict, packed);
+        }
         if (pool && pool->parallel()) {
             pool->parallelFor(num_dimms, [&](std::size_t d) {
-                compress::encodeShardRef(codec, dict, shards[d],
-                                         blocks[d]);
+                compress::encodeShard(codec, dict, shards[d],
+                                      blocks[d]);
             });
         } else {
             for (std::size_t d = 0; d < num_dimms; ++d)
-                compress::encodeShardRef(codec, dict, shards[d],
-                                         blocks[d]);
+                compress::encodeShard(codec, dict, shards[d],
+                                      blocks[d]);
         }
+        // Sizes accumulate in shard order regardless of which
+        // worker compressed each shard.
         std::vector<std::uint32_t> sizes(num_dimms);
         for (std::size_t d = 0; d < num_dimms; ++d) {
             sizes[d] = static_cast<std::uint32_t>(blocks[d].size());
@@ -257,20 +226,21 @@ measureMultiChannelDict(const std::vector<Bytes> &pages,
         }
         // The packed dictionary is stored once per page,
         // water-filled into the slot tails (it rides in the
-        // same-offset padding until that is exhausted).
+        // same-offset padding until that is exhausted). Same-offset
+        // placement: every DIMM reserves the slot's extent.
         res.compressedBytes += packed.size();
         res.dictBytes += packed.size();
         const std::uint64_t slot = compress::dictSlotSize(
             sizes, static_cast<std::uint32_t>(packed.size()));
         res.placedBytes += slot * num_dimms;
-        // Integrity gate: the dict-mode blocks must restore the
-        // exact page through the shared decode path.
+        // Integrity gate: the blocks must restore the exact page
+        // through the shared decode path.
         for (std::size_t d = 0; d < num_dimms; ++d)
             compress::decodeShard(codec, blocks[d], dict,
                                   restored[d]);
         gatherPageInto(restored, interleave, roundtrip);
         XFM_ASSERT(roundtrip == page,
-                   "dict-mode multichannel round-trip mismatch");
+                   "multichannel round-trip mismatch");
     }
     return res;
 }

@@ -151,10 +151,18 @@ struct MultiChannelResult
 
 /**
  * Compress @p pages in D-DIMM multi-channel mode and report the
- * Fig. 8 metrics. Each shard is compressed independently with
- * @p codec; placement assumes same-offset slots sized by the
- * largest shard of each page.
+ * Fig. 8 metrics with the backend's accounting. Each shard is
+ * compressed independently with @p codec; placement assumes
+ * same-offset slots sized by the largest shard of each page. Every
+ * page is decoded back and verified against the original.
  *
+ * @param dict_bytes preset-dictionary size (DESIGN.md §16); 0 for
+ *        none. Otherwise each page samples one cross-shard
+ *        dictionary, shards are encoded against it when that wins
+ *        (dict-referencing container, plain block otherwise), and
+ *        the packed dictionary is stored ONCE per page, water-filled
+ *        into the slot tails (compress::dictStripes()) so it
+ *        occupies same-offset padding before growing the slot.
  * @param pool optional worker pool: the per-DIMM shard
  *        compressions of each page fan out over it, with sizes
  *        accumulated in shard order so the result is identical for
@@ -163,26 +171,9 @@ struct MultiChannelResult
 MultiChannelResult
 measureMultiChannel(const std::vector<Bytes> &pages,
                     const compress::Compressor &codec,
-                    std::size_t num_dimms,
+                    std::size_t num_dimms, std::size_t dict_bytes = 0,
                     std::size_t interleave = defaultInterleave,
                     WorkerPool *pool = nullptr);
-
-/**
- * measureMultiChannel() with preset dictionaries (DESIGN.md §16),
- * using the backend's accounting: each page samples one
- * cross-shard dictionary, shards are encoded against it when that
- * wins (dict-referencing container, 3-byte header, plain block
- * otherwise), and the packed dictionary is stored ONCE per page,
- * water-filled into the slot tails (compress::dictStripes()) so it
- * occupies same-offset padding before growing the slot.
- * Every page is decoded back and verified against the original.
- */
-MultiChannelResult
-measureMultiChannelDict(const std::vector<Bytes> &pages,
-                        const compress::Compressor &codec,
-                        std::size_t num_dimms, std::size_t dict_bytes,
-                        std::size_t interleave = defaultInterleave,
-                        WorkerPool *pool = nullptr);
 
 } // namespace xfmsys
 } // namespace xfm

@@ -235,7 +235,7 @@ XfmBackend::countDictShard(ByteSpan block)
 {
     if (!cfg_.shardDict)
         return;
-    if (compress::isDictBlock(block) || compress::isDictRefBlock(block))
+    if (compress::isDictRefBlock(block))
         ++xfm_stats_.dictShards;
     else
         ++xfm_stats_.dictFallbacks;
@@ -370,11 +370,9 @@ XfmBackend::cpuCompressShard(std::size_t d, VirtPage page,
 {
     dimms_[d].mem->read(shardFrameAddr(page), cfg_.shardBytes(),
                         shard_scratch_[d]);
-    if (dict)
-        return compress::encodeShardRef(*codec_, *dict,
-                                        shard_scratch_[d], block);
-    codec_->compressInto(shard_scratch_[d], block);
-    return false;
+    return compress::encodeShard(*codec_,
+                                 dict ? ByteSpan(*dict) : ByteSpan{},
+                                 shard_scratch_[d], block);
 }
 
 void
@@ -383,12 +381,9 @@ XfmBackend::cpuDecompressShard(std::size_t d, VirtPage page,
                                std::uint32_t csize, const Bytes *dict)
 {
     dimms_[d].mem->read(slotAddr(offset), csize, block_scratch_[d]);
-    if (dict)
-        compress::decodeShard(*codec_, block_scratch_[d], *dict,
-                              shard_scratch_[d]);
-    else
-        compress::decodeShard(*codec_, block_scratch_[d],
-                              shard_scratch_[d]);
+    compress::decodeShard(*codec_, block_scratch_[d],
+                          dict ? ByteSpan(*dict) : ByteSpan{},
+                          shard_scratch_[d]);
     XFM_ASSERT(shard_scratch_[d].size() == cfg_.shardBytes(),
                "shard decompressed to wrong size");
     dimms_[d].mem->write(shardFrameAddr(page), shard_scratch_[d]);

@@ -45,8 +45,14 @@ struct XfmSystemConfig
 {
     /** DIMMs a page interleaves over (1, 2, or 4 in the paper). */
     std::size_t numDimms = 4;
-    /** Geometry of one DIMM (must be single-channel, single-rank). */
-    dram::MemSystemConfig dimmMem;
+    /** Geometry of one DIMM: one channel, one DIMM and one rank,
+     *  the only geometry the backend accepts, of Table 1's 32 Gb
+     *  DDR5 devices. */
+    dram::MemSystemConfig dimmMem{
+        .rank = {.device = dram::ddr5Device32Gb()},
+        .channels = 1,
+        .dimmsPerChannel = 1,
+        .ranksPerDimm = 1};
 
     std::uint64_t localBase = 0;   ///< per-DIMM local shard region
     std::uint64_t localPages = 0;  ///< virtual pages tracked

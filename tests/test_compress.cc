@@ -906,17 +906,12 @@ TEST_P(DictTest, ShardRoundTripAllCorpora)
         // Quarter-page shards, as 4-DIMM interleave produces.
         for (std::size_t d = 0; d < 4; ++d) {
             const ByteSpan shard{page.data() + d * 1024, 1024};
-            Bytes self_block;
-            Bytes ref_block;
-            encodeShard(*codec_, dict, shard, self_block);
-            encodeShardRef(*codec_, dict, shard, ref_block);
+            Bytes block;
+            encodeShard(*codec_, dict, shard, block);
 
-            const Bytes want(shard.begin(), shard.end());
             Bytes out;
-            decodeShard(*codec_, self_block, out);
-            EXPECT_EQ(out, want);
-            decodeShard(*codec_, ref_block, dict, out);
-            EXPECT_EQ(out, want);
+            decodeShard(*codec_, block, dict, out);
+            EXPECT_EQ(out, Bytes(shard.begin(), shard.end()));
         }
     }
 }
@@ -938,11 +933,11 @@ TEST_P(DictTest, RefBlockWithoutDictIsFatal)
     const Bytes page = generateCorpus(CorpusKind::Json, 3, 4096);
     const Bytes dict = buildPresetDictionary(page, 256, 2048);
     Bytes block;
-    if (!encodeShardRef(*codec_, dict, ByteSpan{page.data(), 1024},
-                        block))
+    if (!encodeShard(*codec_, dict, ByteSpan{page.data(), 1024}, block))
         GTEST_SKIP() << "dict container not used for this codec";
     Bytes out;
-    EXPECT_THROW(decodeShard(*codec_, block, out), FatalError);
+    EXPECT_THROW(decodeShard(*codec_, block, ByteSpan{}, out),
+                 FatalError);
     // Wrong-length dictionary must also be rejected.
     const Bytes wrong(dict.size() + 1, 0);
     EXPECT_THROW(decodeShard(*codec_, block, wrong, out), FatalError);
@@ -952,10 +947,9 @@ TEST_P(DictTest, EmptyDictFallsBackToPlain)
 {
     const Bytes page = generateCorpus(CorpusKind::Html, 5, 4096);
     Bytes block;
-    EXPECT_FALSE(
-        encodeShardRef(*codec_, ByteSpan{}, page, block));
+    EXPECT_FALSE(encodeShard(*codec_, ByteSpan{}, page, block));
     Bytes out;
-    decodeShard(*codec_, block, out);
+    decodeShard(*codec_, block, ByteSpan{}, out);
     EXPECT_EQ(out, page);
 }
 
@@ -1029,10 +1023,11 @@ fnv1a(std::uint64_t h, ByteSpan data)
 
 /** Compressed bytes are behaviour: each codec's output over the
  *  six-class page mix, plain and against a preset dictionary, is
- *  pinned by digest. The digests are those of a byte-at-a-time
+ *  pinned by digest, and so is the stored shard container (0xD2 or
+ *  its plain fallback). The digests are those of a byte-at-a-time
  *  matcher without the 4-byte chain prefilter, so this also proves
- *  the prefilter exact. Any change to match selection or entropy
- *  coding shows up here. */
+ *  the prefilter exact. Any change to match selection, entropy
+ *  coding or the container shows up here. */
 TEST(CodecGolden, CompressedBytesArePinned)
 {
     struct Golden
@@ -1040,11 +1035,15 @@ TEST(CodecGolden, CompressedBytesArePinned)
         Algorithm algo;
         std::uint64_t plain;
         std::uint64_t dict;
+        std::uint64_t container;
     };
     const Golden golden[] = {
-        {Algorithm::LzFast, 0xe83a708373ab050cull, 0xe2e3900cf8cdd898ull},
-        {Algorithm::Deflate, 0xff4bdbf5b092a13bull, 0x3d17b619cc2532c0ull},
-        {Algorithm::ZstdLike, 0xd07834f6e4c4e700ull, 0x0add610a1483a626ull},
+        {Algorithm::LzFast, 0xe83a708373ab050cull, 0xe2e3900cf8cdd898ull,
+         0x83a8ffa9589fd668ull},
+        {Algorithm::Deflate, 0xff4bdbf5b092a13bull, 0x3d17b619cc2532c0ull,
+         0xc7545b335bf4c792ull},
+        {Algorithm::ZstdLike, 0xd07834f6e4c4e700ull, 0x0add610a1483a626ull,
+         0x18a3b495fc50892eull},
     };
     constexpr std::uint64_t fnvOffset = 14695981039346656037ull;
     const std::vector<CorpusKind> kinds = {
@@ -1056,6 +1055,7 @@ TEST(CodecGolden, CompressedBytesArePinned)
         const auto codec = makeCompressor(g.algo);
         std::uint64_t plain = fnvOffset;
         std::uint64_t dict = fnvOffset;
+        std::uint64_t container = fnvOffset;
         Bytes block;
         for (const auto kind : kinds) {
             for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -1064,10 +1064,11 @@ TEST(CodecGolden, CompressedBytesArePinned)
                 plain = fnv1a(plain, block);
                 const Bytes d = buildPresetDictionary(page, 256, 2048);
                 for (std::size_t q = 0; q < 4; ++q) {
-                    codec->compressWithDictInto(
-                        d, ByteSpan{page.data() + q * 1024, 1024},
-                        block);
+                    const ByteSpan shard{page.data() + q * 1024, 1024};
+                    codec->compressWithDictInto(d, shard, block);
                     dict = fnv1a(dict, block);
+                    encodeShard(*codec, d, shard, block);
+                    container = fnv1a(container, block);
                 }
             }
         }
@@ -1076,6 +1077,9 @@ TEST(CodecGolden, CompressedBytesArePinned)
             << plain;
         EXPECT_EQ(dict, g.dict)
             << algorithmName(g.algo) << " dict: 0x" << std::hex << dict;
+        EXPECT_EQ(container, g.container)
+            << algorithmName(g.algo) << " container: 0x" << std::hex
+            << container;
     }
 }
 

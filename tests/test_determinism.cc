@@ -427,8 +427,8 @@ TEST(SystemGolden, SnapshotAndTraceDigestsArePinned)
     const Golden golden[] = {
         {"default", runSystem(7), 0xa36852e34bd09291ull,
          0xe0337b64e1fddd38ull, 0xe0f392bd6df981fcull},
-        {"depth8", runSystem(7, 1, 8, 2), 0x94bcc7f20293b9abull,
-         0xc8d3835320887e38ull, 0xefa8d50f5a3be2b3ull},
+        {"depth8", runSystem(7, 1, 8, 2), 0x5300c0dce866cf9bull,
+         0x832dd50f9c1ca9b2ull, 0xefa8d50f5a3be2b3ull},
         {"dict",
          runSystem(7, 1, 1, 1, TierMode::Default, DictMode::On),
          0x97c3b51fb0e56946ull, 0xcb875de8cffd8d79ull,
@@ -444,7 +444,7 @@ TEST(SystemGolden, SnapshotAndTraceDigestsArePinned)
         {"health-depth8",
          runSystem(7, 1, 8, 2, TierMode::Default, DictMode::Default,
                    true),
-         0xe88f903fbeb10267ull, 0x21a45f885472d6cdull,
+         0xaf928f9fc62b687dull, 0x6fdc4158e5d17b27ull,
          0xa29eaa09849b8886ull},
     };
     for (const auto &g : golden) {

@@ -12,6 +12,7 @@
 
 #include "common/random.hh"
 #include "compress/corpus.hh"
+#include "compress/dict.hh"
 #include "dram/address_map.hh"
 #include "dram/ecc.hh"
 #include "dram/phys_mem.hh"
@@ -226,6 +227,86 @@ TEST(Engine, WorstCaseBoundsStoredBlock)
     (void)lat;
     EXPECT_LE(block.size(),
               CompressionEngine::worstCaseCompressedSize(4096));
+}
+
+/** The deferred entry points (XfmDevice) and the sync ones (the
+ *  lockout device) agree on bytes, latency and byte counters:
+ *  plain and dict shards and the size model, with no pool and with
+ *  a 2-worker pool, decompressing with the expected size and with
+ *  0 (run inline, charged from the actual output). */
+TEST(EngineJobs, SyncAndDeferredAgree)
+{
+    const Bytes page =
+        compress::generateCorpus(compress::CorpusKind::Json, 7, 4096);
+    const auto dict = std::make_shared<const Bytes>(
+        compress::buildPresetDictionary(page, 256, 2048));
+    EngineProfile model;
+    model.modeledRatio = 2.5;
+    struct Case
+    {
+        const char *name;
+        EngineProfile profile;
+        std::shared_ptr<const Bytes> dict;
+    };
+    const Case cases[] = {
+        {"plain", {}, nullptr},
+        {"dict", {}, dict},
+        {"model", model, nullptr},
+    };
+    compress::ScratchArena arena;
+    const auto stage = [&](ByteSpan bytes) {
+        auto lease = arena.acquire(bytes.size());
+        lease->assign(bytes.begin(), bytes.end());
+        return lease;
+    };
+    for (const std::size_t workers : {0, 2}) {
+        for (const auto &c : cases) {
+            SCOPED_TRACE(std::string(c.name) + " workers "
+                         + std::to_string(workers));
+            CompressionEngine sync(compress::Algorithm::ZstdLike,
+                                   c.profile);
+            CompressionEngine deferred(compress::Algorithm::ZstdLike,
+                                       c.profile);
+            std::optional<WorkerPool> pool;
+            if (workers) {
+                pool.emplace(workers);
+                sync.setWorkerPool(&*pool);
+                deferred.setWorkerPool(&*pool);
+            }
+            const bool modeled = c.profile.modeledRatio > 0.0;
+            std::size_t ref_blocks = 0;
+            for (std::size_t q = 0; q < 4; ++q) {
+                const ByteSpan shard{page.data() + q * 1024, 1024};
+                const auto [want, clat] = sync.compress(shard, c.dict);
+                auto [job, dclat] =
+                    deferred.compressDeferred(stage(shard), c.dict);
+                const Bytes block = job.take();
+                EXPECT_EQ(block, want);
+                EXPECT_EQ(dclat, clat);
+                ref_blocks += compress::isDictRefBlock(block);
+
+                for (const std::uint32_t expected : {1024u, 0u}) {
+                    if (modeled && expected == 0)
+                        continue;  // the size model needs the size
+                    const auto [raw, rlat] =
+                        sync.decompress(block, expected, c.dict);
+                    if (!modeled) {
+                        EXPECT_EQ(raw, Bytes(shard.begin(), shard.end()));
+                    }
+                    auto [djob, dlat] = deferred.decompressDeferred(
+                        stage(block), expected, c.dict);
+                    EXPECT_EQ(djob.take(), raw);
+                    EXPECT_EQ(dlat, rlat);
+                }
+            }
+            EXPECT_EQ(ref_blocks > 0, c.dict != nullptr);
+            EXPECT_EQ(deferred.bytesCompressed(), sync.bytesCompressed());
+            EXPECT_EQ(deferred.bytesDecompressed(),
+                      sync.bytesDecompressed());
+            EXPECT_EQ(sync.bytesCompressed(), 4096u);
+            EXPECT_EQ(sync.bytesDecompressed(), modeled ? 4096u : 8192u);
+        }
+    }
 }
 
 // ------------------------------------------------------------ XfmDevice

@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -20,6 +21,7 @@
 #include "dram/phys_mem.hh"
 #include "dram/refresh.hh"
 #include "nma/ring.hh"
+#include "obs/registry.hh"
 #include "nma/xfm_device.hh"
 #include "xfm/xfm_driver.hh"
 
@@ -268,6 +270,30 @@ TEST(RingTest, StaleGenerationTagRejectedAtReap)
     EXPECT_EQ(slotOf(fresh), slotOf(tag));
     EXPECT_NE(fresh, tag);
     EXPECT_TRUE(sq.validTag(fresh));
+}
+
+TEST(RingTest, OccupancyPercentilesReadCommandsInFlight)
+{
+    const auto occupancy = [](CommandRing &ring, const char *leaf) {
+        obs::MetricRegistry r;
+        ring.registerMetrics(r, "dimm");
+        return r.snapshot().value(std::string("dimm.ring.occupancy.")
+                                  + leaf);
+    };
+    CommandRing one(1);
+    ASSERT_NE(one.sq().push(compressReq(), 0), invalidOffloadId);
+    one.sampleOccupancy();
+    EXPECT_EQ(occupancy(one, "p50"), 1.0);
+    EXPECT_EQ(occupancy(one, "p99"), 1.0);
+
+    CommandRing full(8);
+    for (int i = 0; i < 8; ++i) {
+        ASSERT_NE(full.sq().push(compressReq(), 0), invalidOffloadId);
+        full.sampleOccupancy();
+    }
+    EXPECT_EQ(occupancy(full, "p99"), 8.0);
+    EXPECT_EQ(occupancy(full, "p50"), 4.0);
+    EXPECT_EQ(occupancy(full, "overflow"), 0.0);
 }
 
 TEST(RingTest, CancelRemovesUnconsumedAndRetires)

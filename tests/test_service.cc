@@ -451,10 +451,6 @@ TEST(Fleet, DriverRunsAllTenants)
     scfg.registry.maxTenants = 4;
     scfg.registry.pagesPerShard = 64;
     scfg.system.numDimms = 2;
-    scfg.system.dimmMem.rank.device = dram::ddr5Device32Gb();
-    scfg.system.dimmMem.channels = 1;
-    scfg.system.dimmMem.dimmsPerChannel = 1;
-    scfg.system.dimmMem.ranksPerDimm = 1;
     scfg.system.sfmBase = gib(1);
     scfg.system.sfmBytes = mib(4);
     scfg.system.device.spmBytes = kib(512);

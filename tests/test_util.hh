@@ -39,10 +39,6 @@ testXfmConfig(std::size_t dimms = 4)
 {
     xfmsys::XfmSystemConfig cfg;
     cfg.numDimms = dimms;
-    cfg.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.dimmMem.channels = 1;
-    cfg.dimmMem.dimmsPerChannel = 1;
-    cfg.dimmMem.ranksPerDimm = 1;
     cfg.localBase = 0;
     cfg.localPages = 256;
     cfg.sfmBase = gib(1);
@@ -63,10 +59,6 @@ testServiceConfig()
     cfg.registry.maxTenants = 4;
     cfg.registry.pagesPerShard = 64;
     cfg.system.numDimms = 4;
-    cfg.system.dimmMem.rank.device = dram::ddr5Device32Gb();
-    cfg.system.dimmMem.channels = 1;
-    cfg.system.dimmMem.dimmsPerChannel = 1;
-    cfg.system.dimmMem.ranksPerDimm = 1;
     cfg.system.sfmBase = gib(1);
     cfg.system.sfmBytes = mib(8);
     cfg.system.device.spmBytes = mib(1);
