@@ -10,7 +10,7 @@ namespace dram
 Bank::Bank(const DeviceConfig &dev)
     : rows_per_bank_(dev.rowsPerBank),
       rows_per_subarray_(dev.rowsPerSubarray()),
-      subarrays_(dev.subarraysPerBank)
+      subarrays_(dev.subarraysPerBank), busy_(subarrays_, 0)
 {
     XFM_ASSERT(rows_per_subarray_ > 0, "empty subarrays");
 }
@@ -25,6 +25,14 @@ Bank::beginRefresh(std::uint32_t first_row, std::uint32_t count)
     refreshing_ = true;
     refresh_first_ = first_row % rows_per_bank_;
     refresh_count_ = count;
+    for (std::uint32_t k = 0; k < count; ++k) {
+        const std::uint32_t sub =
+            subarrayOf((refresh_first_ + k) % rows_per_bank_);
+        if (!busy_[sub]) {
+            busy_[sub] = 1;
+            busy_list_.push_back(sub);
+        }
+    }
 }
 
 void
@@ -33,6 +41,9 @@ Bank::endRefresh()
     XFM_ASSERT(refreshing_, "endRefresh outside a window");
     refreshing_ = false;
     refresh_count_ = 0;
+    for (std::uint32_t sub : busy_list_)
+        busy_[sub] = 0;
+    busy_list_.clear();
     // A random-access row held open across the window boundary is
     // precharged with the rest of the bank (auto-precharge).
     random_open_subarray_ = -1;
@@ -71,13 +82,9 @@ Bank::accessRandom(std::uint32_t row)
 
     // The target subarray must not be refreshing a row this window:
     // its local row buffer is in use.
-    for (std::uint32_t k = 0; k < refresh_count_; ++k) {
-        const std::uint32_t r =
-            (refresh_first_ + k) % rows_per_bank_;
-        if (subarrayOf(r) == sub) {
-            ++subarray_conflicts_;
-            return BankAccessResult::SubarrayBusy;
-        }
+    if (subarrayRefreshing(sub)) {
+        ++subarray_conflicts_;
+        return BankAccessResult::SubarrayBusy;
     }
     // Only one subarray may drive the global bitlines (the added
     // isolation latch selects exactly one).

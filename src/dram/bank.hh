@@ -82,6 +82,23 @@ class Bank
     /** True if @p row is in the current refresh set. */
     bool rowInRefreshSet(std::uint32_t row) const;
 
+    /**
+     * True if subarray @p sub refreshes a row this window: its local
+     * row buffer is in use, so a random access there must wait.
+     */
+    bool
+    subarrayRefreshing(std::uint32_t sub) const
+    {
+        return busy_[sub] != 0;
+    }
+
+    /** Subarrays refreshing a row this window (empty outside one). */
+    const std::vector<std::uint32_t> &
+    refreshingSubarrays() const
+    {
+        return busy_list_;
+    }
+
     /** Subarray index of @p row. */
     std::uint32_t
     subarrayOf(std::uint32_t row) const
@@ -109,6 +126,11 @@ class Bank
     bool refreshing_ = false;
     std::uint32_t refresh_first_ = 0;
     std::uint32_t refresh_count_ = 0;
+
+    /** Per subarray: 1 while it refreshes a row this window. */
+    std::vector<std::uint8_t> busy_;
+    /** The subarrays flagged in busy_, in refresh order. */
+    std::vector<std::uint32_t> busy_list_;
 
     /** Subarray currently opened for a random access, or -1. */
     std::int64_t random_open_subarray_ = -1;

@@ -1,9 +1,25 @@
 #include "spm.hh"
 
+#include <algorithm>
+
 namespace xfm
 {
 namespace nma
 {
+
+ScratchPad::ScratchPad(std::size_t capacity_bytes,
+                       const dram::AddressMap *map)
+    : map_(map), capacity_(capacity_bytes)
+{
+    XFM_ASSERT(capacity_ > 0, "SPM capacity must be positive");
+    std::uint32_t subarrays = 1;
+    if (map_) {
+        rows_per_bank_ = map_->rowsPerBank();
+        banks_ = map_->banksPerRank();
+        subarrays = map_->subarrayOf(rows_per_bank_ - 1) + 1;
+    }
+    ready_count_.assign(std::size_t(subarrays) * banks_, 0);
+}
 
 bool
 ScratchPad::reserve(OffloadId id, OffloadKind kind, std::uint32_t bytes,
@@ -100,6 +116,8 @@ ScratchPad::complete(OffloadId id, Bytes output, Tick when)
     e.data = std::move(output);
     e.tag = SpmTag::Completed;
     e.stagedAt = when;
+    if (ready(e))
+        index(e);
 }
 
 void
@@ -107,8 +125,38 @@ ScratchPad::setDestination(OffloadId id, std::uint64_t dst_addr)
 {
     auto it = entries_.find(id);
     XFM_ASSERT(it != entries_.end(), "setDestination: unknown id ", id);
-    it->second.dstAddr = dst_addr;
-    it->second.writebackReady = true;
+    SpmEntry &e = it->second;
+    if (ready(e))
+        unindex(e);
+    e.dstAddr = dst_addr;
+    e.writebackReady = true;
+    if (map_) {
+        const dram::DramCoord c = map_->decode(dst_addr);
+        ++decodes_;
+        e.dstRow = c.row;
+        e.dstBank = c.bank;
+        e.dstSubarray = map_->subarrayOf(c.row);
+    }
+    if (ready(e))
+        index(e);
+}
+
+void
+ScratchPad::index(const SpmEntry &e)
+{
+    ready_.insert(e.id);
+    ready_by_row_.emplace(e.dstRow, e.id);
+    ready_by_age_.emplace(e.stagedAt, e.id);
+    ++ready_count_[std::size_t(e.dstSubarray) * banks_ + e.dstBank];
+}
+
+void
+ScratchPad::unindex(const SpmEntry &e)
+{
+    ready_.erase(e.id);
+    ready_by_row_.erase({e.dstRow, e.id});
+    ready_by_age_.erase({e.stagedAt, e.id});
+    --ready_count_[std::size_t(e.dstSubarray) * banks_ + e.dstBank];
 }
 
 const SpmEntry &
@@ -119,29 +167,64 @@ ScratchPad::entry(OffloadId id) const
     return it->second;
 }
 
-bool
-ScratchPad::popWriteback(SpmEntry &out)
-{
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second.tag == SpmTag::Completed
-            && it->second.writebackReady) {
-            out = std::move(it->second);
-            uncharge(out, out.reserved);
-            entries_.erase(it);
-            return true;
-        }
-    }
-    return false;
-}
-
 std::vector<OffloadId>
 ScratchPad::writebackIds() const
 {
+    return {ready_.begin(), ready_.end()};
+}
+
+std::vector<OffloadId>
+ScratchPad::readyInRows(std::uint32_t first_row,
+                        std::uint32_t count) const
+{
     std::vector<OffloadId> ids;
-    for (const auto &[id, e] : entries_)
-        if (e.tag == SpmTag::Completed && e.writebackReady)
-            ids.push_back(id);
+    const auto collect = [&](std::uint32_t lo, std::uint32_t hi) {
+        for (auto it = ready_by_row_.lower_bound({lo, 0});
+             it != ready_by_row_.end() && it->first < hi; ++it)
+            ids.push_back(it->second);
+    };
+    first_row %= rows_per_bank_;
+    if (count >= rows_per_bank_) {
+        collect(0, rows_per_bank_);
+    } else if (first_row + count <= rows_per_bank_) {
+        collect(first_row, first_row + count);
+    } else {
+        collect(first_row, rows_per_bank_);
+        collect(0, first_row + count - rows_per_bank_);
+    }
+    std::sort(ids.begin(), ids.end());
     return ids;
+}
+
+std::uint32_t
+ScratchPad::readyInSubarray(std::uint32_t sub) const
+{
+    std::uint32_t n = 0;
+    for (std::uint32_t b = 0; b < banks_; ++b)
+        n += readyInSubarray(sub, b);
+    return n;
+}
+
+std::vector<OffloadId>
+ScratchPad::readyStagedBefore(Tick t) const
+{
+    std::vector<OffloadId> ids;
+    for (auto it = ready_by_age_.begin();
+         it != ready_by_age_.end() && it->first < t; ++it)
+        ids.push_back(it->second);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+}
+
+SpmEntry
+ScratchPad::erase(std::map<OffloadId, SpmEntry>::iterator it)
+{
+    SpmEntry out = std::move(it->second);
+    if (ready(out))
+        unindex(out);
+    uncharge(out, out.reserved);
+    entries_.erase(it);
+    return out;
 }
 
 SpmEntry
@@ -149,10 +232,7 @@ ScratchPad::take(OffloadId id)
 {
     auto it = entries_.find(id);
     XFM_ASSERT(it != entries_.end(), "take: unknown id ", id);
-    SpmEntry out = std::move(it->second);
-    uncharge(out, out.reserved);
-    entries_.erase(it);
-    return out;
+    return erase(it);
 }
 
 void
@@ -160,8 +240,7 @@ ScratchPad::release(OffloadId id)
 {
     auto it = entries_.find(id);
     XFM_ASSERT(it != entries_.end(), "release: unknown id ", id);
-    uncharge(it->second, it->second.reserved);
-    entries_.erase(it);
+    erase(it);
 }
 
 } // namespace nma

@@ -14,11 +14,15 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/units.hh"
 
 #include "common/logging.hh"
 #include "compress/compressor.hh"
+#include "dram/address_map.hh"
 #include "fault/fault.hh"
 #include "nma/offload.hh"
 
@@ -44,6 +48,10 @@ struct SpmEntry
     std::uint32_t reserved;   ///< bytes of SPM this entry holds
     std::uint64_t dstAddr = 0;
     bool writebackReady = false;  ///< destination committed
+    /** dstAddr decoded once, by setDestination(). */
+    std::uint32_t dstRow = 0;
+    std::uint32_t dstBank = 0;
+    std::uint32_t dstSubarray = 0;
     Tick stagedAt = 0;            ///< when the entry turned Completed
     std::uint32_t partition = 0;  ///< QoS partition charged (0 = none)
 };
@@ -59,11 +67,13 @@ struct SpmEntry
 class ScratchPad
 {
   public:
-    explicit ScratchPad(std::size_t capacity_bytes)
-        : capacity_(capacity_bytes)
-    {
-        XFM_ASSERT(capacity_ > 0, "SPM capacity must be positive");
-    }
+    /**
+     * @param map decodes write-back destinations for the ready
+     *        index; without one every destination indexes as row 0,
+     *        bank 0 (a bare SPM with no DRAM behind it).
+     */
+    explicit ScratchPad(std::size_t capacity_bytes,
+                        const dram::AddressMap *map = nullptr);
 
     std::size_t capacityBytes() const { return capacity_; }
     std::size_t usedBytes() const { return used_; }
@@ -101,7 +111,8 @@ class ScratchPad
      *  @param when current tick, recorded as the staging time. */
     void complete(OffloadId id, Bytes output, Tick when = 0);
 
-    /** Attach the write-back destination (compress path). */
+    /** Attach the write-back destination (compress path) and
+     *  decode it into row, bank and subarray. */
     void setDestination(OffloadId id, std::uint64_t dst_addr);
 
     /** Entry lookup; panics if missing. */
@@ -113,15 +124,35 @@ class ScratchPad
         return entries_.find(id) != entries_.end();
     }
 
-    /**
-     * Pop one COMPLETED, destination-committed entry (FIFO order).
-     *
-     * @retval true an entry was popped into @p out.
-     */
-    bool popWriteback(SpmEntry &out);
-
     /** Ids of COMPLETED, destination-committed entries (FIFO). */
     std::vector<OffloadId> writebackIds() const;
+
+    /** The ready index itself: writebackIds() without the copy. */
+    const std::set<OffloadId> &readyIds() const { return ready_; }
+
+    /**
+     * Ready ids, ascending, whose destination row lies in
+     * [first_row, first_row + count), wrapping at the end of the
+     * bank (RefreshWindow::coversRow's range).
+     */
+    std::vector<OffloadId> readyInRows(std::uint32_t first_row,
+                                       std::uint32_t count) const;
+
+    /** Ready write-backs destined to subarray @p sub of any bank. */
+    std::uint32_t readyInSubarray(std::uint32_t sub) const;
+
+    /** Ready write-backs destined to subarray @p sub of @p bank. */
+    std::uint32_t
+    readyInSubarray(std::uint32_t sub, std::uint32_t bank) const
+    {
+        return ready_count_[std::size_t(sub) * banks_ + bank];
+    }
+
+    /** Ready ids, ascending, staged strictly before @p t. */
+    std::vector<OffloadId> readyStagedBefore(Tick t) const;
+
+    /** Destination addresses decoded so far (setDestination). */
+    std::uint64_t decodes() const { return decodes_; }
 
     /** Remove and return a specific entry (for write-back). */
     SpmEntry take(OffloadId id);
@@ -151,11 +182,36 @@ class ScratchPad
   private:
     void uncharge(const SpmEntry &e, std::size_t bytes);
 
+    static bool
+    ready(const SpmEntry &e)
+    {
+        return e.tag == SpmTag::Completed && e.writebackReady;
+    }
+
+    /** Add/remove a ready entry to/from every index. */
+    void index(const SpmEntry &e);
+    void unindex(const SpmEntry &e);
+
+    /** Drop an entry found at @p it, un-indexing and uncharging it. */
+    SpmEntry erase(std::map<OffloadId, SpmEntry>::iterator it);
+
+    const dram::AddressMap *map_;
+    std::uint32_t rows_per_bank_ = 1;
+    std::uint32_t banks_ = 1;
+    std::uint64_t decodes_ = 0;
+
     fault::FaultInjector *injector_ = nullptr;
     std::uint64_t injected_failures_ = 0;
     std::size_t capacity_;
     std::size_t used_ = 0;
-    std::map<OffloadId, SpmEntry> entries_;  ///< ordered => FIFO pops
+    std::map<OffloadId, SpmEntry> entries_;  ///< ordered by id (FIFO)
+
+    /** Ready write-backs by id, by (destination row, id) and by
+     *  (stagedAt, id); counted per (subarray, bank). */
+    std::set<OffloadId> ready_;
+    std::set<std::pair<std::uint32_t, OffloadId>> ready_by_row_;
+    std::set<std::pair<Tick, OffloadId>> ready_by_age_;
+    std::vector<std::uint32_t> ready_count_;
     std::map<std::uint32_t, std::size_t> partition_caps_;
     std::map<std::uint32_t, std::size_t> partition_used_;
 };

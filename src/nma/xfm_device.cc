@@ -16,7 +16,7 @@ XfmDevice::XfmDevice(std::string name, EventQueue &eq,
                      const dram::AddressMap &map, dram::PhysMem &mem,
                      dram::RefreshController &refresh)
     : SimObject(std::move(name), eq), cfg_(cfg), map_(map), mem_(mem),
-      spm_(cfg.spmBytes), queue_(cfg.queueDepth),
+      spm_(cfg.spmBytes, &map), queue_(cfg.queueDepth),
       engine_(cfg.algorithm, cfg.engine),
       bank_(refresh.device()), rng_(cfg.seed),
       engine_health_(cfg.health), spm_health_(cfg.health)
@@ -30,6 +30,15 @@ XfmDevice::XfmDevice(std::string name, EventQueue &eq,
                "need at least one access per window");
     XFM_ASSERT(cfg_.maxRandomPerWindow <= cfg_.maxAccessesPerWindow,
                "random budget cannot exceed the window budget");
+    // Addresses are DIMM-local: the device's AddressMap describes
+    // only its own DRAM, and its row/subarray geometry must be the
+    // refreshed DRAM's. cfg_.rank merely selects which refresh
+    // windows of a (possibly shared) RefreshController apply.
+    const std::uint32_t rows_per_sub = refresh.device().rowsPerSubarray();
+    XFM_ASSERT(map.rowsPerBank() == refresh.device().rowsPerBank
+                   && map.subarrayOf(rows_per_sub - 1) == 0
+                   && map.subarrayOf(rows_per_sub) == 1,
+               "address map and refreshed DRAM disagree on geometry");
 
     if (cfg_.cqCoalesce == 0)
         cfg_.cqCoalesce = 1;
@@ -55,21 +64,6 @@ XfmDevice::XfmDevice(std::string name, EventQueue &eq,
     refresh.addListener([this](const dram::RefreshWindow &w) {
         onWindow(w);
     });
-}
-
-std::uint32_t
-XfmDevice::rowOf(std::uint64_t addr) const
-{
-    // Addresses are DIMM-local: the device's AddressMap describes
-    // only its own DRAM. cfg_.rank merely selects which refresh
-    // windows of a (possibly shared) RefreshController apply.
-    return map_.decode(addr).row;
-}
-
-std::uint32_t
-XfmDevice::bankOf(std::uint64_t addr) const
-{
-    return map_.decode(addr).bank;
 }
 
 void
@@ -204,7 +198,10 @@ XfmDevice::drainQueue()
         if (tracer_ && req.traceId)
             tracer_->record(req.traceId, obs::Stage::Queue,
                             req.submitTick, curTick());
-        reads_.push_back({req.id, req, curTick()});
+        const dram::DramCoord c = map_.decode(req.srcAddr);
+        ++work_.decodes;
+        reads_.push_back({req.id, req, curTick(), c.row, c.bank,
+                          map_.subarrayOf(c.row)});
     }
 }
 
@@ -277,12 +274,15 @@ XfmDevice::runWatchdog(Tick now)
         }
     }
     // Committed write-backs stranded in the SPM past the deadline:
-    // force completion-with-error and free the staging space.
-    for (OffloadId id : spm_.writebackIds()) {
-        if (now > spm_.entry(id).stagedAt + limit) {
-            spm_.release(id);
-            fire(id);
-        }
+    // force completion-with-error and free the staging space, in
+    // ascending id order. The ready index keeps them oldest-staged
+    // first, so a window with none expired looks at no entry.
+    if (now <= limit)
+        return;
+    for (OffloadId id : spm_.readyStagedBefore(now - limit)) {
+        ++work_.spmVisits;
+        spm_.release(id);
+        fire(id);
     }
 }
 
@@ -641,31 +641,34 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
     // Under a per-bank window, conditional accesses must land in
     // the refreshing bank; randoms too, unless HiRA overlap lets an
     // activation hide elsewhere.
-    const auto cond_reachable = [&](std::uint64_t addr) {
-        return !pb || bankOf(addr) == window.bank;
+    const bool bank_limited = pb && !window.hira;
+    const auto cond_reachable = [&](std::uint32_t bank) {
+        return !pb || bank == window.bank;
     };
-    const auto rand_reachable = [&](std::uint64_t addr) {
-        return !pb || window.hira || bankOf(addr) == window.bank;
+    const auto rand_reachable = [&](std::uint32_t bank) {
+        return !bank_limited || bank == window.bank;
     };
 
-    // Pass 1: conditional write-backs (rows being refreshed now).
-    for (OffloadId id : spm_.writebackIds()) {
-        if (slots == 0)
-            break;
-        const SpmEntry &e = spm_.entry(id);
-        if (e.data.empty())
-            continue;
-        if (window.coversRow(rowOf(e.dstAddr), rows_per_bank)
-            && cond_reachable(e.dstAddr)) {
+    // Pass 1: conditional write-backs (rows being refreshed now),
+    // drawn from the ready index's rows of this window.
+    if (slots > 0) {
+        const std::vector<OffloadId> covered =
+            spm_.readyInRows(window.firstRow, window.rowCount);
+        work_.spmVisits += covered.size();
+        for (OffloadId id : covered) {
+            const SpmEntry &e = spm_.entry(id);
+            if (e.data.empty() || !cond_reachable(e.dstBank))
+                continue;
             executeWriteback(spm_.take(id), AccessClass::Conditional);
-            --slots;
+            if (--slots == 0)
+                break;
         }
     }
 
     // Pass 2: conditional reads.
     for (auto it = reads_.begin(); it != reads_.end() && slots > 0;) {
-        if (window.coversRow(rowOf(it->req.srcAddr), rows_per_bank)
-            && cond_reachable(it->req.srcAddr)) {
+        if (window.coversRow(it->row, rows_per_bank)
+            && cond_reachable(it->bank)) {
             if (!executeRead(*it, AccessClass::Conditional)) {
                 ++it;  // SPM full: deferred
                 continue;
@@ -681,15 +684,37 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
     // decompressed pages compete with reads on deadline order. A
     // candidate whose subarray is refreshing this window is skipped
     // in favour of the next one (Sec. 5: the pending accesses are
-    // reordered to avoid subarray conflicts).
-    auto subarray_free = [this](std::uint32_t row) {
-        const auto res = bank_.accessRandom(row);
-        if (res == dram::BankAccessResult::Ok) {
-            bank_.releaseRandom();
+    // reordered to avoid subarray conflicts); each skip counts as a
+    // subarray-conflict retry.
+    const auto subarray_free = [this](std::uint32_t sub) {
+        ++work_.probes;
+        if (!bank_.subarrayRefreshing(sub))
             return true;
-        }
         ++stats_.subarrayConflictRetries;
         return false;
+    };
+    // Every random slot weighs all reachable ready write-backs and
+    // skips those in a refreshing subarray. Counted from the index,
+    // not probed one by one.
+    const auto busy_writebacks = [&] {
+        std::uint64_t n = 0;
+        for (std::uint32_t sub : bank_.refreshingSubarrays())
+            n += bank_limited ? spm_.readyInSubarray(sub, window.bank)
+                              : spm_.readyInSubarray(sub);
+        return n;
+    };
+    // Lowest-id reachable write-back in a subarray not refreshing.
+    const auto first_free_writeback = [&]() -> OffloadId {
+        for (OffloadId id : spm_.readyIds()) {
+            ++work_.spmVisits;
+            const SpmEntry &e = spm_.entry(id);
+            if (!rand_reachable(e.dstBank))
+                continue;
+            ++work_.probes;
+            if (!bank_.subarrayRefreshing(e.dstSubarray))
+                return id;
+        }
+        return invalidOffloadId;
     };
     while (slots > 0 && random_budget > 0) {
         // Earliest-deadline pending read in a conflict-free
@@ -699,41 +724,35 @@ XfmDevice::onWindow(const dram::RefreshWindow &window)
             if (best_read != reads_.end()
                 && it->req.deadline >= best_read->req.deadline)
                 continue;
-            if (!rand_reachable(it->req.srcAddr))
+            if (!rand_reachable(it->bank))
                 continue;
-            if (!subarray_free(rowOf(it->req.srcAddr)))
+            if (!subarray_free(it->subarray))
                 continue;
             best_read = it;
         }
-
-        auto wb_ids = spm_.writebackIds();
-        // Conflict-free, reachable write-back candidates only.
-        std::erase_if(wb_ids, [&](OffloadId id) {
-            const std::uint64_t dst = spm_.entry(id).dstAddr;
-            return !rand_reachable(dst)
-                || !subarray_free(rowOf(dst));
-        });
+        stats_.subarrayConflictRetries += busy_writebacks();
 
         // Write-backs normally wait for their destination row's
         // refresh turn; only SPM pressure (or stranding) justifies
         // burning the random slot on one.
         const bool spm_pressure =
             spm_.usedBytes() * 2 > spm_.capacityBytes();
-        if (spm_pressure && !wb_ids.empty()) {
-            executeWriteback(spm_.take(wb_ids.front()),
-                             AccessClass::Random);
+        const OffloadId wb = spm_pressure || best_read == reads_.end()
+            ? first_free_writeback()
+            : invalidOffloadId;
+        if (spm_pressure && wb != invalidOffloadId) {
+            executeWriteback(spm_.take(wb), AccessClass::Random);
         } else if (best_read != reads_.end()) {
             if (!executeRead(*best_read, AccessClass::Random))
                 break;  // SPM full: nothing can execute this window
             reads_.erase(best_read);
-        } else if (!wb_ids.empty()
-                   && curTick() > spm_.entry(wb_ids.front()).stagedAt
+        } else if (wb != invalidOffloadId
+                   && curTick() > spm_.entry(wb).stagedAt
                           + 2 * (window.end - window.start
                                  + dev_trefi_)) {
             // A write-back has been stranded (its destination row's
             // refresh turn is far away): use the random slot.
-            executeWriteback(spm_.take(wb_ids.front()),
-                             AccessClass::Random);
+            executeWriteback(spm_.take(wb), AccessClass::Random);
         } else {
             break;
         }

@@ -159,6 +159,23 @@ struct XfmDeviceStats
 };
 
 /**
+ * Deterministic host-work counters of the refresh-window scheduler.
+ * They measure the simulator, not the simulated DIMM, so they stay
+ * out of the MetricRegistry (and every snapshot): a test pins them
+ * to catch an algorithmic regression without timing anything.
+ */
+struct XfmDeviceWork
+{
+    /** SPM entries the window passes and the watchdog examined. */
+    std::uint64_t spmVisits = 0;
+    /** Address decodes: one per accepted read, at enqueue, and one
+     *  per committed destination, in the SPM. */
+    std::uint64_t decodes = 0;
+    /** Subarray-refreshing probes of the random-access pass. */
+    std::uint64_t probes = 0;
+};
+
+/**
  * One XFM-enabled DIMM (NMA in the buffer device).
  *
  * Resource model: the Compress_Request_Queue bounds how many
@@ -289,6 +306,14 @@ class XfmDevice : public SimObject
     RegisterFile &regs() { return regs_; }
     const ScratchPad &spm() const { return spm_; }
     const XfmDeviceStats &stats() const { return stats_; }
+    /** Scheduler work so far (see XfmDeviceWork). */
+    XfmDeviceWork
+    work() const
+    {
+        XfmDeviceWork w = work_;
+        w.decodes += spm_.decodes();
+        return w;
+    }
     const XfmDeviceConfig &config() const { return cfg_; }
     CompressionEngine &engine() { return engine_; }
 
@@ -334,6 +359,10 @@ class XfmDevice : public SimObject
         OffloadId id;
         OffloadRequest req;
         Tick accepted;
+        /** req.srcAddr decoded once, when the read is enqueued. */
+        std::uint32_t row;
+        std::uint32_t bank;
+        std::uint32_t subarray;
     };
 
     void onWindow(const dram::RefreshWindow &window);
@@ -358,8 +387,6 @@ class XfmDevice : public SimObject
     bool executeRead(const ReadOp &op, AccessClass cls);
     void executeWriteback(SpmEntry entry, AccessClass cls);
     void chargeAccess(std::size_t bytes, AccessClass cls);
-    std::uint32_t rowOf(std::uint64_t addr) const;
-    std::uint32_t bankOf(std::uint64_t addr) const;
 
     XfmDeviceConfig cfg_;
     const dram::AddressMap &map_;
@@ -410,6 +437,7 @@ class XfmDevice : public SimObject
     std::function<void()> cq_ready_;
 
     XfmDeviceStats stats_;
+    XfmDeviceWork work_;
 };
 
 } // namespace nma

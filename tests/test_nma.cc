@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/random.hh"
 #include "compress/corpus.hh"
@@ -22,6 +26,7 @@
 #include "nma/mmio.hh"
 #include "nma/spm.hh"
 #include "nma/xfm_device.hh"
+#include "obs/tracer.hh"
 #include "sim/event_queue.hh"
 #include "xfm/xfm_driver.hh"
 
@@ -86,22 +91,23 @@ TEST(ScratchPad, ReleaseAbandonsEntry)
     EXPECT_EQ(spm.usedBytes(), 0u);
 }
 
-TEST(ScratchPad, PopWritebackFifoOrder)
+TEST(ScratchPad, WritebackIdsFifoOrder)
 {
     ScratchPad spm(4096);
-    for (OffloadId id = 1; id <= 3; ++id) {
+    // Committed out of order: the ready index still lists by id.
+    for (OffloadId id : {3u, 1u, 2u}) {
         ASSERT_TRUE(spm.reserve(id, OffloadKind::Compress, 64));
         spm.complete(id, Bytes(32, static_cast<std::uint8_t>(id)));
         spm.setDestination(id, id * 0x100);
     }
-    SpmEntry e;
-    ASSERT_TRUE(spm.popWriteback(e));
-    EXPECT_EQ(e.id, 1u);
-    ASSERT_TRUE(spm.popWriteback(e));
-    EXPECT_EQ(e.id, 2u);
-    ASSERT_TRUE(spm.popWriteback(e));
-    EXPECT_EQ(e.id, 3u);
-    EXPECT_FALSE(spm.popWriteback(e));
+    for (OffloadId expect = 1; expect <= 3; ++expect) {
+        const std::vector<OffloadId> ids = spm.writebackIds();
+        ASSERT_EQ(ids.size(), 4 - expect);
+        EXPECT_EQ(ids.front(), expect);
+        EXPECT_EQ(spm.take(ids.front()).id, expect);
+    }
+    EXPECT_TRUE(spm.writebackIds().empty());
+    EXPECT_EQ(spm.usedBytes(), 0u);
 }
 
 TEST(ScratchPad, PartitionCapRejectsOnlyThatPartition)
@@ -967,6 +973,462 @@ TEST(XfmDeviceAbort, EveryStateReleasesSpmAndSilencesTheId)
                            AbortAt::EngineRunning, AbortAt::StagedNoDest,
                            AbortAt::Stalled})
             abortOneOffload(depth, at);
+}
+
+} // namespace
+} // namespace nma
+} // namespace xfm
+
+
+namespace xfm
+{
+namespace nma
+{
+namespace
+{
+
+// ------------------------------------------------ scheduler golden run
+
+/** Refresh realism one scheduler golden run is driven through. */
+struct SchedulerScenario
+{
+    const char *name;
+    dram::RefreshMode mode;
+    bool hira;
+    std::uint32_t trrSlots;
+};
+
+/** What a scheduler golden run exposes: its digest, the device
+ *  counters, and evidence of which scheduler paths it reached. */
+struct SchedulerRun
+{
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    XfmDeviceStats stats;
+    std::uint64_t conditionalWritebacks = 0;
+    std::uint64_t randomWritebacks = 0;
+    /** Random write-backs in windows that opened with the SPM at
+     *  most half full and executed no read: only the strand rule
+     *  spends a random slot on those. */
+    std::uint64_t strandedWritebacks = 0;
+    /** Watchdog drops of offloads whose read had executed, that
+     *  is, of write-backs stranded in the SPM. */
+    std::uint64_t writebackWatchdogFires = 0;
+    std::uint64_t windowsAboveHalf = 0;
+    std::uint64_t windowsAtOrBelowHalf = 0;
+};
+
+/** FNV-1a over the eight little-endian bytes of @p v. */
+void
+mixDigest(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+}
+
+/**
+ * Drive one seeded device through bursts and lulls of compress and
+ * decompress offloads whose rows cluster at the refresh pointer
+ * (conditional accesses and subarray conflicts) or scatter over the
+ * bank (random accesses), with some short deadlines, some late
+ * destination commits, RFM pressure from host activations, TRR
+ * slack and an armed watchdog.
+ *
+ * The digest covers every executed access (window tick, request,
+ * read or write-back, conditional or random) in execution order,
+ * every write-back and drop notification, and the scheduler
+ * counters. A write-back's class is recovered from its window: the
+ * conditional write-back pass runs first, so the window's first
+ * (conditional accesses - conditional reads) write-backs are the
+ * conditional ones.
+ */
+SchedulerRun
+runScheduler(const SchedulerScenario &s, std::uint64_t seed)
+{
+    EventQueue eq;
+    dram::MemSystemConfig mcfg = deviceTestConfig();
+    dram::DeviceConfig &ddr = mcfg.rank.device;
+    ddr.refreshMode = s.mode;
+    ddr.hira = s.hira;
+    ddr.rfmRaaimt = 24;
+    const dram::AddressMap map(mcfg);
+    dram::PhysMem mem(mcfg.totalCapacityBytes());
+    dram::RefreshController refresh("refresh", eq, ddr, 1);
+    const Tick trefi = ddr.tREFI();
+
+    XfmDeviceConfig dcfg;
+    dcfg.spmBytes = 12 * 1024;
+    dcfg.maxRandomPerWindow = 1;
+    dcfg.trrRandomSlots = s.trrSlots;
+    dcfg.seed = seed;
+    dcfg.watchdogWindows = 16;
+
+    SchedulerRun run;
+    struct Window
+    {
+        Tick start;
+        std::uint64_t conditional;  ///< conditional accesses in it
+        std::size_t usedAtOpen;     ///< SPM bytes as it opened
+    };
+    std::vector<Window> windows;
+    // Registered before the device's own listener, so it sees the
+    // SPM as the window opens; the one after sees the window's work.
+    const XfmDevice *device = nullptr;
+    std::size_t used_at_open = 0;
+    refresh.addListener([&](const dram::RefreshWindow &) {
+        used_at_open = device->spm().usedBytes();
+    });
+    XfmDevice dev("xfm0", eq, dcfg, map, mem, refresh);
+    device = &dev;
+    std::uint64_t conditional_seen = 0;
+    refresh.addListener([&](const dram::RefreshWindow &w) {
+        const std::uint64_t c = dev.stats().conditionalAccesses;
+        windows.push_back({w.start, c - conditional_seen, used_at_open});
+        conditional_seen = c;
+    });
+    obs::Tracer tracer(std::size_t(1) << 20);
+    dev.setTracer(&tracer);
+
+    Rng rng(seed);
+    const std::uint32_t rows = map.rowsPerBank();
+    const std::uint32_t rows_per_sub = ddr.rowsPerSubarray();
+    // Decompress sources sit in the bank's last subarray, which the
+    // refresh pointer never reaches in this run; nothing else is
+    // placed there.
+    const std::uint32_t placeable = rows - rows_per_sub;
+    const auto pick_addr = [&] {
+        const auto pointer = static_cast<std::uint32_t>(
+            (eq.now() / trefi + 1) * ddr.rowsPerRefresh % rows);
+        dram::DramCoord c{};
+        c.bank = static_cast<std::uint32_t>(
+            rng.uniformInt(map.banksPerRank()));
+        c.column = static_cast<std::uint32_t>(
+            rng.uniformInt(map.stripesPerRow() - 8));
+        switch (rng.uniformInt(4)) {
+          case 0:  // refreshed within the next few windows
+            c.row = static_cast<std::uint32_t>(
+                (pointer + rng.uniformInt(4 * ddr.rowsPerRefresh))
+                % placeable);
+            break;
+          case 1:  // the refreshing subarray: conflicts
+            c.row = static_cast<std::uint32_t>(
+                (pointer / rows_per_sub * rows_per_sub
+                 + rng.uniformInt(rows_per_sub))
+                % placeable);
+            break;
+          default:
+            c.row = static_cast<std::uint32_t>(rng.uniformInt(placeable));
+        }
+        return map.encode(c);
+    };
+
+    constexpr std::uint32_t rawSize = 1024;
+    std::vector<Bytes> pages;
+    for (auto kind : {compress::CorpusKind::Html, compress::CorpusKind::Json,
+                      compress::CorpusKind::CsvTable,
+                      compress::CorpusKind::EnglishText})
+        pages.push_back(compress::generateCorpus(kind, seed, rawSize));
+    auto codec = compress::makeCompressor(dcfg.algorithm);
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> blocks;
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        dram::DramCoord c{};
+        c.row = placeable + 8 * i;
+        c.bank = (2 * i) % map.banksPerRank();
+        const Bytes block = codec->compress(pages[i % pages.size()]);
+        mem.write(map.encode(c), block);
+        blocks.emplace_back(map.encode(c),
+                            static_cast<std::uint32_t>(block.size()));
+    }
+
+    std::map<OffloadId, std::uint64_t> trace_of;
+    dev.setCompletionCallback([&](const OffloadCompletion &c) {
+        if (c.kind != OffloadKind::Compress)
+            return;
+        const std::uint64_t dst = pick_addr();
+        if (rng.chance(0.25)) {
+            // The backend commits some destinations a little late.
+            eq.scheduleIn(1 + rng.uniformInt(3 * trefi),
+                          [&dev, id = c.id, dst] {
+                              dev.commitWriteback(id, dst);
+                          });
+        } else {
+            dev.commitWriteback(c.id, dst);
+        }
+    });
+    dev.setWritebackCallback([&](OffloadId id, Tick t) {
+        mixDigest(run.digest, 1);
+        mixDigest(run.digest, trace_of.at(id));
+        mixDigest(run.digest, t);
+    });
+    std::vector<std::uint64_t> watchdog_drops;
+    dev.setDropCallback([&](OffloadId id, DropReason reason) {
+        mixDigest(run.digest, 2);
+        mixDigest(run.digest, trace_of.at(id));
+        mixDigest(run.digest, static_cast<std::uint64_t>(reason));
+        mixDigest(run.digest, eq.now());
+        if (reason == DropReason::Watchdog)
+            watchdog_drops.push_back(trace_of.at(id));
+    });
+
+    // A 120-interval cycle: a 40-interval burst that overruns the
+    // window slots, then a lull in which the SPM drains.
+    constexpr std::uint32_t rounds = 600;
+    std::function<void(std::uint32_t)> submit_round =
+        [&](std::uint32_t k) {
+            const bool burst = k % 120 < 40;
+            const std::uint64_t n = burst ? 2 + rng.uniformInt(4)
+                                          : rng.chance(0.3);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                OffloadRequest req;
+                if (rng.chance(0.3)) {
+                    const auto &[src, size] =
+                        blocks[rng.uniformInt(blocks.size())];
+                    req.kind = OffloadKind::Decompress;
+                    req.srcAddr = src;
+                    req.size = size;
+                    req.dstAddr = pick_addr();
+                    req.rawSize = rawSize;
+                } else {
+                    req.kind = OffloadKind::Compress;
+                    req.srcAddr = pick_addr();
+                    req.size = rawSize;
+                    mem.write(req.srcAddr,
+                              pages[rng.uniformInt(pages.size())]);
+                }
+                if (rng.chance(0.1))
+                    req.deadline = eq.now() + 3 * trefi;
+                req.traceId = tracer.begin();
+                const OffloadId id = dev.submit(req);
+                mixDigest(run.digest, id);
+                if (id != invalidOffloadId)
+                    trace_of[id] = req.traceId;
+            }
+            // Host activations on a few hot banks drive RFMs.
+            refresh.noteActivates(0,
+                                  static_cast<std::uint32_t>(
+                                      rng.uniformInt(4)),
+                                  rng.uniformInt(16));
+            if (k + 1 < rounds)
+                eq.scheduleIn(trefi, [&, k] { submit_round(k + 1); });
+        };
+    eq.schedule(trefi / 2, [&] { submit_round(0); });
+    refresh.start();
+    eq.run(Tick(rounds + 80) * trefi);
+    EXPECT_EQ(tracer.dropped(), 0u) << s.name;
+
+    // Executed accesses, grouped by the window (tick) they ran in.
+    std::vector<obs::TraceEvent> accesses;
+    std::set<std::uint64_t> read_done;
+    for (const obs::TraceEvent &e : tracer.events()) {
+        if (e.stage == obs::Stage::Classify
+            || e.stage == obs::Stage::Writeback)
+            accesses.push_back(e);
+        if (e.stage == obs::Stage::Classify)
+            read_done.insert(e.req);
+    }
+    std::size_t w = 0;
+    for (std::size_t i = 0, j; i < accesses.size(); i = j) {
+        const Tick tick = accesses[i].start;
+        for (j = i; j < accesses.size() && accesses[j].start == tick;)
+            ++j;
+        while (w < windows.size() && windows[w].start < tick)
+            ++w;
+        EXPECT_TRUE(w < windows.size() && windows[w].start == tick)
+            << s.name << ": access outside a window at " << tick;
+        if (w >= windows.size())
+            break;
+        std::uint64_t reads = 0;
+        std::uint64_t conditional_reads = 0;
+        for (std::size_t k = i; k < j; ++k) {
+            if (accesses[k].stage == obs::Stage::Classify) {
+                ++reads;
+                conditional_reads += accesses[k].arg == 0;
+            }
+        }
+        std::uint64_t conditional_wbs =
+            windows[w].conditional - conditional_reads;
+        const bool opened_low =
+            windows[w].usedAtOpen * 2 <= dcfg.spmBytes;
+        for (std::size_t k = i; k < j; ++k) {
+            const bool wb = accesses[k].stage == obs::Stage::Writeback;
+            bool conditional = !wb && accesses[k].arg == 0;
+            if (wb && conditional_wbs > 0) {
+                conditional = true;
+                --conditional_wbs;
+            }
+            if (wb) {
+                ++(conditional ? run.conditionalWritebacks
+                               : run.randomWritebacks);
+                run.strandedWritebacks +=
+                    !conditional && opened_low && reads == 0;
+            }
+            mixDigest(run.digest, tick);
+            mixDigest(run.digest, accesses[k].req);
+            mixDigest(run.digest, wb);
+            mixDigest(run.digest, conditional);
+        }
+        EXPECT_EQ(conditional_wbs, 0u) << s.name << " at " << tick;
+    }
+    for (const Window &win : windows)
+        ++(win.usedAtOpen * 2 > dcfg.spmBytes ? run.windowsAboveHalf
+                                               : run.windowsAtOrBelowHalf);
+    for (std::uint64_t req : watchdog_drops)
+        run.writebackWatchdogFires += read_done.count(req);
+
+    run.stats = dev.stats();
+    for (std::uint64_t v :
+         {run.stats.conditionalAccesses, run.stats.randomAccesses,
+          run.stats.subarrayConflictRetries, run.stats.trrSlotsUsed,
+          run.stats.watchdogFires, run.stats.deadlineDrops,
+          run.stats.deferredExecutions, run.stats.windows,
+          run.stats.pbWindows, run.stats.rfmStolenWindows,
+          run.stats.hiraBonusSlots})
+        mixDigest(run.digest, v);
+    return run;
+}
+
+/** The refresh-window scheduler's selection order is behaviour:
+ *  which access runs in which window, in which class, and the
+ *  conflict/TRR/watchdog counters are pinned per refresh mode, so
+ *  an index or cache in the scheduler must reproduce them exactly.
+ *  Each run must also reach every path it pins. */
+TEST(SchedulerGolden, AccessOrderAndCountersArePinned)
+{
+    const struct
+    {
+        SchedulerScenario scenario;
+        std::uint64_t digest;
+    } golden[] = {
+        {{"refab-trr", dram::RefreshMode::RefAb, false, 2},
+         0xeaa08ee83e9abc6full},
+        {{"refpb", dram::RefreshMode::RefPb, false, 1},
+         0x9e95d26b819b932aull},
+        {{"refpb-hira", dram::RefreshMode::RefPb, true, 1},
+         0xcfafb3ac46f87c01ull},
+    };
+    for (const auto &g : golden) {
+        const SchedulerScenario &s = g.scenario;
+        const SchedulerRun run = runScheduler(s, 11);
+        EXPECT_EQ(run.digest, g.digest)
+            << s.name << ": 0x" << std::hex << run.digest;
+        const XfmDeviceStats &st = run.stats;
+        EXPECT_GT(run.conditionalWritebacks, 0u) << s.name;
+        EXPECT_GT(run.randomWritebacks, 0u) << s.name;
+        EXPECT_GT(run.strandedWritebacks, 0u) << s.name;
+        EXPECT_GT(run.writebackWatchdogFires, 0u) << s.name;
+        EXPECT_GT(run.windowsAboveHalf, 0u) << s.name;
+        EXPECT_GT(run.windowsAtOrBelowHalf, 0u) << s.name;
+        EXPECT_GT(st.conditionalAccesses, run.conditionalWritebacks)
+            << s.name;
+        EXPECT_GT(st.subarrayConflictRetries, 0u) << s.name;
+        EXPECT_GT(st.trrSlotsUsed, 0u) << s.name;
+        EXPECT_GT(st.deadlineDrops, 0u) << s.name;
+        EXPECT_GT(st.rfmStolenWindows, 0u) << s.name;
+        EXPECT_EQ(st.pbWindows > 0, s.mode == dram::RefreshMode::RefPb)
+            << s.name;
+        EXPECT_EQ(st.hiraBonusSlots > 0, s.hira) << s.name;
+    }
+}
+
+/** Scheduler work over a stretch of windows that drain a backlog
+ *  of staged write-backs. */
+struct BacklogWork
+{
+    XfmDeviceWork total;      ///< over the whole run
+    XfmDeviceWork measured;   ///< over the measured windows only
+    std::uint64_t windows = 0;
+    std::uint64_t acceptedReads = 0;
+    std::uint64_t commits = 0;
+};
+
+/**
+ * Stage @p backlog compress write-backs in the SPM, then measure the
+ * scheduler's work over @p windows windows that drain them. Every
+ * run submits so that its reads finish by window @p horizon: the
+ * measured windows are the same stretch of the refresh schedule for
+ * every backlog. Destinations sit far from the refresh pointer, so
+ * only the strand rule writes them back, one per window.
+ */
+BacklogWork
+drainBacklog(std::uint32_t backlog, std::uint32_t horizon,
+             std::uint32_t windows)
+{
+    EventQueue eq;
+    const dram::MemSystemConfig mcfg = deviceTestConfig();
+    const dram::AddressMap map(mcfg);
+    dram::PhysMem mem(mcfg.totalCapacityBytes());
+    dram::RefreshController refresh("refresh", eq, mcfg.rank.device, 1);
+    const Tick trefi = mcfg.rank.device.tREFI();
+
+    XfmDeviceConfig dcfg;
+    dcfg.spmBytes = mib(16);  // never half full: no SPM pressure
+    dcfg.queueDepth = backlog;
+    dcfg.maxRandomPerWindow = 1;
+    dcfg.watchdogWindows = 100000;  // armed, never due
+    XfmDevice dev("xfm0", eq, dcfg, map, mem, refresh);
+
+    const auto row_addr = [&](std::uint32_t row, std::uint32_t bank) {
+        dram::DramCoord c{};
+        c.row = row;
+        c.bank = bank;
+        return map.encode(c);
+    };
+    BacklogWork out;
+    dev.setCompletionCallback([&](const OffloadCompletion &c) {
+        const auto k = static_cast<std::uint32_t>(out.commits++);
+        dev.commitWriteback(c.id, row_addr(100000 + 8 * (k % 2048),
+                                           2 * (k % 16)));
+    });
+    refresh.start();
+    // One random read per window: the backlog's reads take `backlog`
+    // windows, so start them `backlog` windows before the horizon.
+    eq.run(Tick(horizon - backlog) * trefi);
+    const Bytes page(1024, 0x5a);
+    for (std::uint32_t k = 0; k < backlog; ++k) {
+        OffloadRequest req;
+        req.kind = OffloadKind::Compress;
+        req.srcAddr = row_addr(60000 + 8 * k, 2 * (k % 16));
+        req.size = 1024;
+        mem.write(req.srcAddr, page);
+        EXPECT_NE(dev.submit(req), invalidOffloadId);
+    }
+    eq.run(Tick(horizon + 2) * trefi);
+    EXPECT_EQ(dev.pendingReads(), 0u);
+    EXPECT_EQ(out.commits, backlog);
+    EXPECT_GE(dev.spm().writebackIds().size(), backlog - 4);
+    out.acceptedReads = dev.stats().compressOffloads;
+
+    const XfmDeviceWork before = dev.work();
+    const std::uint64_t windows_before = dev.stats().windows;
+    eq.run(Tick(horizon + 2 + windows) * trefi);
+    out.total = dev.work();
+    out.measured.spmVisits = out.total.spmVisits - before.spmVisits;
+    out.measured.decodes = out.total.decodes - before.decodes;
+    out.measured.probes = out.total.probes - before.probes;
+    out.windows = dev.stats().windows - windows_before;
+    return out;
+}
+
+/** The scheduler's cost per window follows the work it does, not
+ *  the SPM backlog: draining 8x the staged write-backs visits the
+ *  same number of SPM entries per window. Decodes happen once per
+ *  read (at enqueue) and once per destination (at commit). */
+TEST(SchedulerWork, VisitsPerWindowFlatInBacklog)
+{
+    constexpr std::uint32_t n = 64;
+    constexpr std::uint32_t windows = 32;
+    const BacklogWork small = drainBacklog(n, 8 * n + 8, windows);
+    const BacklogWork large = drainBacklog(8 * n, 8 * n + 8, windows);
+    for (const BacklogWork *w : {&small, &large}) {
+        EXPECT_EQ(w->windows, windows);
+        EXPECT_EQ(w->total.decodes, w->acceptedReads + w->commits);
+        EXPECT_EQ(w->measured.decodes, 0u);
+        // One write-back per window, found at the head of the index.
+        EXPECT_EQ(w->measured.spmVisits, windows);
+    }
+    EXPECT_EQ(large.measured.spmVisits, small.measured.spmVisits);
+    EXPECT_EQ(large.measured.probes, small.measured.probes);
 }
 
 } // namespace
